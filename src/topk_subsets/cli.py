@@ -2,19 +2,23 @@
 
 Exit codes: 0 success (including a truncated answer, which adds a notice
 on stderr), 2 bad flags or flag combinations, 3 unusable input data.
+``topk`` exits 141 (128 + SIGPIPE, what a shell reports for a filter
+killed by a closed pipe) without a traceback when its stdout is closed
+before the last line, as in ``topk ... | head``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import IO, Sequence
 
 from .bench import BenchConfig, UniformInteger, emit_csv, gen_instance, median_cells, run_matrix
-from .core import InputError, InputSet, expand_deltas, load_input
+from .core import InputError, expand_deltas, load_input
 from .enumerators import Variant, topk
 from .oracle import all_subsets_sorted
-from .shifts import ShiftKind, bit_root, final_dag_children, final_dag_report
+from .shifts import ShiftKind, final_dag_report, walk_final_dag
 
 __all__ = ["main"]
 
@@ -130,20 +134,28 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         stream = expand_deltas(stream)
 
     emitted = 0
-    for item in stream:
-        if args.output == "sums":
-            out.write(f"{item.rank}\t{item.total}\n")
-        elif args.output == "subsets":
-            joined = ",".join(map(str, item.positions))
-            out.write(f"{item.rank}\t{item.total}\t{joined}\n")
-        else:
-            d = item.delta
-            parent = "-" if d.parent_rank is None else str(d.parent_rank)
-            removed = "-" if d.removed is None else str(d.removed)
-            added = "-" if d.added is None else str(d.added)
-            out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
-        out.flush()
-        emitted += 1
+    try:
+        for item in stream:
+            if args.output == "sums":
+                out.write(f"{item.rank}\t{item.total}\n")
+            elif args.output == "subsets":
+                joined = ",".join(map(str, item.positions))
+                out.write(f"{item.rank}\t{item.total}\t{joined}\n")
+            else:
+                d = item.delta
+                parent = "-" if d.parent_rank is None else str(d.parent_rank)
+                removed = "-" if d.removed is None else str(d.removed)
+                added = "-" if d.added is None else str(d.added)
+                out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
+            out.flush()
+            emitted += 1
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the interpreter's
+        # final flush of the unwritten buffer cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
 
     if args.metrics:
         with open(args.metrics, "w", encoding="ascii") as fh:
@@ -238,22 +250,17 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.n > 10:
         parser.error("--n is capped at 10 (the DAG has 2**n - 1 nodes)")
-    n = args.n
-    r = InputSet.from_values(range(1, n + 1))
     lines = ["digraph topk_subsets {"]
     node_count = 0
     edge_count = 0
-    queue = [bit_root(r)]
-    while queue:
-        node = queue.pop(0)
+    for node, children in walk_final_dag(args.n):
         pattern = "".join(map(str, node.bits))
         lines.append(f'  "{pattern}";')
         node_count += 1
-        for child, edge in final_dag_children(node, r):
+        for child, edge in children:
             child_pattern = "".join(map(str, child.bits))
             lines.append(f'  "{pattern}" -> "{child_pattern}" [label="{edge.value}"];')
             edge_count += 1
-            queue.append(child)
     lines.append("}")
     with open(args.dot, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

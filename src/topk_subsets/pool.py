@@ -7,17 +7,20 @@ are discarded through :meth:`BoundedPool.prune_max`.  Equal keys resolve
 by insertion order on the min side and reverse insertion order on the
 max side, so results are fully deterministic.
 
-Internally this is a pair of stdlib binary heaps over shared entry
-records with a liveness flag.  Removing an entry on one side merely
-flips the flag; the stale twin is skipped when it surfaces on the other
-heap (lazy tombstones).  The metrics counters track logical entries
-only, never tombstone pops.  Instances are single-threaded.
+Entries are immutable ``(key, seq, item)`` tuples on a stdlib min heap
+(seq is unique, so items are never compared).  The min heap holds exactly
+the live entries until the first prune builds the ``(-key, -seq, item)``
+max heap from it.  From then on both heaps take pushes, a removal adds its
+seq to a shared dead set, and the other heap drops that seq when it
+surfaces.  Under the enumerators' rule (prune while the size exceeds the
+answers still owed) fewer than ``peak_size`` extractions follow the first
+prune, so memory follows the peak frontier, not the total insertions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Optional
 
 __all__ = ["RunMetrics", "BoundedPool"]
@@ -28,10 +31,9 @@ class RunMetrics:
     """Counters for one enumeration run.
 
     ``total_insertions`` counts every insert ever made, ``peak_size`` the
-    largest logical size reached, and ``elapsed_ns`` the wall time of the
-    enumeration itself (no input parsing, no output formatting).  The
-    live size of a pool is always ``total_insertions - extractions -
-    prunes``.
+    largest logical size reached, and ``elapsed_ns`` the wall time from the
+    first ``next()`` to the end, the consumer's time between yields included.
+    The live size of a pool is ``total_insertions - extractions - prunes``.
     """
 
     total_insertions: int = 0
@@ -41,29 +43,23 @@ class RunMetrics:
     elapsed_ns: int = 0
 
 
-# Entry layout: [key, seq, item, alive].  heapq compares lists
-# element-wise and seq is unique, so items are never compared.
-_KEY, _SEQ, _ITEM, _ALIVE = range(4)
-
-
 class BoundedPool:
     """Min-extraction priority pool with max-side pruning.
 
     ``metrics`` may be shared with the caller; counters are updated in
     place.  When ``log`` is a list, every mutating operation appends a
     ``(op, key, seq)`` record, which the tests replay to confirm the
-    counters are exact.
+    counters are exact.  Metrics count logical entries only, never
+    tombstone pops.  Instances are single-threaded.
     """
 
-    __slots__ = ("_min", "_max", "_size", "_seq", "metrics", "_log")
+    __slots__ = ("_min", "_max", "_dead", "_size", "_seq", "metrics", "_log")
 
-    def __init__(
-        self,
-        metrics: Optional[RunMetrics] = None,
-        log: "Optional[list[tuple[str, Any, int]]]" = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[RunMetrics] = None,
+                 log: Optional[list[tuple[str, Any, int]]] = None) -> None:
         self._min: list = []
-        self._max: list = []
+        self._max: Optional[list] = None
+        self._dead: set = set()
         self._size = 0
         self._seq = 0
         self.metrics = metrics if metrics is not None else RunMetrics()
@@ -72,13 +68,13 @@ class BoundedPool:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, item: Any, key) -> list:
-        """Add an item under a sum key; returns an opaque handle."""
+    def insert(self, item: Any, key) -> None:
+        """Add an item under a sum key."""
         seq = self._seq
         self._seq = seq + 1
-        entry = [key, seq, item, True]
-        heappush(self._min, entry)
-        heappush(self._max, (-key, -seq, entry))
+        heappush(self._min, (key, seq, item))
+        if self._max is not None:
+            heappush(self._max, (-key, -seq, item))
         size = self._size + 1
         self._size = size
         m = self.metrics
@@ -87,36 +83,39 @@ class BoundedPool:
             m.peak_size = size
         if self._log is not None:
             self._log.append(("insert", key, seq))
-        return entry
 
     def extract_min(self) -> Any:
         """Remove and return the item with the smallest (key, seq)."""
         if self._size == 0:
             raise IndexError("extract_min on an empty pool")
-        h = self._min
-        while True:
-            entry = heappop(h)
-            if entry[_ALIVE]:
-                break
-        entry[_ALIVE] = False
+        h, dead = self._min, self._dead
+        key, seq, item = heappop(h)
+        while seq in dead:
+            dead.discard(seq)
+            key, seq, item = heappop(h)
+        if self._max is not None:
+            dead.add(seq)
         self._size -= 1
         self.metrics.extractions += 1
         if self._log is not None:
-            self._log.append(("extract", entry[_KEY], entry[_SEQ]))
-        return entry[_ITEM]
+            self._log.append(("extract", key, seq))
+        return item
 
     def prune_max(self) -> Any:
         """Remove and return the item with the largest (key, seq)."""
         if self._size == 0:
             raise IndexError("prune_max on an empty pool")
-        h = self._max
-        while True:
-            _, _, entry = heappop(h)
-            if entry[_ALIVE]:
-                break
-        entry[_ALIVE] = False
+        h, dead = self._max, self._dead
+        if h is None:
+            h = self._max = [(-key, -seq, item) for key, seq, item in self._min]
+            heapify(h)
+        key, seq, item = heappop(h)
+        while -seq in dead:
+            dead.discard(-seq)
+            key, seq, item = heappop(h)
+        dead.add(-seq)
         self._size -= 1
         self.metrics.prunes += 1
         if self._log is not None:
-            self._log.append(("prune", entry[_KEY], entry[_SEQ]))
-        return entry[_ITEM]
+            self._log.append(("prune", -key, -seq))
+        return item

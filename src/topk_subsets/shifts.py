@@ -24,6 +24,7 @@ leading one run one step right, ``Incr`` extends a pattern of the shape
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -334,9 +335,9 @@ def walk_final_dag(
     """
     if r is None:
         r = InputSet.from_values(range(1, n + 1))
-    queue = [bit_root(r)]
+    queue = deque([bit_root(r)])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         children = final_dag_children(node, r)
         yield node, children
         queue.extend(child for child, _ in children)
@@ -359,9 +360,9 @@ def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
     root_b = bit_root(r)
     root_c = compact_root(r)
     seen.add(root_b.bits)
-    queue: list[tuple[BitNode, CompactNode]] = [(root_b, root_c)]
+    queue: deque[tuple[BitNode, CompactNode]] = deque([(root_b, root_c)])
     while queue and len(problems) < 20:
-        bnode, cnode = queue.pop(0)
+        bnode, cnode = queue.popleft()
         pattern = "".join(map(str, bnode.bits))
         quad = cursors_from_bits(bnode.bits)
         if (bnode.first_after_gap, bnode.prefix_end, bnode.last_one) != quad[:3]:

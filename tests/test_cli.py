@@ -1,9 +1,13 @@
-"""End-to-end CLI behavior through in-process main() calls."""
+"""End-to-end CLI behavior, mostly through in-process main() calls."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import topk_subsets
 from topk_subsets.cli import main
 
 
@@ -103,6 +107,29 @@ class TestTopkCommand:
             capsys,
         )
         assert out.splitlines() == ["1\t1", "2\t2", "3\t3"]
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # as `topk ... | head -2`: the reader leaves long before the k-th line
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(map(str, range(1, 1001))) + "\n")
+        src = os.path.dirname(os.path.dirname(topk_subsets.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        err_path = tmp_path / "stderr.txt"
+        with open(err_path, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "topk_subsets.cli", "topk",
+                 "--input", str(path), "--k", "100000"],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            try:
+                head = [proc.stdout.readline() for _ in range(2)]
+                proc.stdout.close()
+                code = proc.wait(timeout=120)
+            finally:
+                proc.kill()
+        assert head == [b"1\t1\n", b"2\t2\n"]
+        assert err_path.read_bytes() == b""
+        assert code == 141
 
 
 class TestFlagErrors:

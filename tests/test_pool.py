@@ -1,6 +1,8 @@
 """Double-ended bounded pool: ordering, tie behavior, counters, op log."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -112,3 +114,80 @@ def test_differential_against_sorted_model():
         assert pool.extract_min() == min(model)
         model.remove(min(model))
     assert len(pool) == 0
+
+
+def test_differential_with_late_first_prune():
+    """Ties and extractions pile up before the max side exists, then ops mix."""
+    rng = random.Random(0xBEEF)
+    log = []
+    pool = BoundedPool(log=log)
+    model = []  # (key, seq)
+    want_log = []
+    seq = 0
+
+    def insert():
+        nonlocal seq
+        key = rng.randrange(8)  # few keys: many ties
+        pool.insert((key, seq), key)
+        model.append((key, seq))
+        want_log.append(("insert", key, seq))
+        seq += 1
+
+    def remove(op, pick):
+        want = pick(model)
+        model.remove(want)
+        got = pool.extract_min() if op == "extract" else pool.prune_max()
+        assert got == want
+        want_log.append((op, *want))
+
+    for _ in range(600):
+        if rng.random() < 0.6 or not model:
+            insert()
+        else:
+            remove("extract", min)
+    assert pool.metrics.prunes == 0 and pool.metrics.extractions > 100
+    for _ in range(3000):
+        op = rng.random()
+        if op < 0.45 or not model:
+            insert()
+        elif op < 0.75:
+            remove("extract", min)
+        else:
+            remove("prune", max)
+        assert len(pool) == len(model)
+    while model:
+        remove(*rng.choice((("extract", min), ("prune", max))))
+    assert log == want_log
+    m = pool.metrics
+    assert len(pool) == 0 == m.total_insertions - m.extractions - m.prunes
+
+
+class _Node:
+    __slots__ = ("key", "__weakref__")
+
+    def __init__(self, key):
+        self.key = key
+
+
+def test_extracted_items_are_released():
+    """The enumerators' own sequence keeps at most peak_size extracted items alive."""
+    rng = random.Random(7)
+    k = 3000
+    pool = BoundedPool()
+    pool.insert(_Node(0), 0)
+    extracted = []
+    for q in range(1, k + 1):
+        node = pool.extract_min()
+        extracted.append(weakref.ref(node))
+        if q < k:
+            for _ in range(rng.choice((1, 2, 2))):
+                key = node.key + rng.randrange(4)
+                pool.insert(_Node(key), key)
+            while len(pool) > k - q:
+                pool.prune_max()
+    del node
+    gc.collect()
+    m = pool.metrics
+    assert m.prunes > 0 and m.extractions == k
+    alive = sum(ref() is not None for ref in extracted)
+    assert alive <= m.peak_size < k // 2
