@@ -15,10 +15,11 @@ Each draw maps to [lo, hi] as lo + (draw mod (hi - lo + 1)).  The modulo
 introduces negligible bias for desk-scale spans; exact reproducibility
 is the contract here, not statistical perfection.
 
-Timing covers the enumeration stream only (the enumerator stamps its own
-elapsed_ns); instance generation and CSV formatting stay outside the
-clock.  Repetition rows share one instance, so medians can be taken per
-(n, k, variant) cell downstream.
+Timing is the enumerator's own elapsed_ns, from the stream's first
+``next()`` to its end.  It includes the consumer's time between yields,
+which in :func:`run_matrix` is an empty loop; instance generation and CSV
+formatting stay outside the clock.  Repetition rows share one instance,
+so medians can be taken per (n, k, variant) cell downstream.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ __all__ = [
     "validate_positions",
     "sum_of",
     "positions_from_bits",
-    "bits_from_positions",
     "mask_from_positions",
     "cursors_from_bits",
     "expand_deltas",
@@ -189,15 +188,7 @@ def _as_bits(bits: Bits) -> bytes:
 
 def positions_from_bits(bits: Bits) -> tuple[int, ...]:
     b = _as_bits(bits)
-    return tuple(i for i, bit in enumerate(b, 1) if bit)
-
-
-def bits_from_positions(positions: Sequence[int], n: int) -> bytes:
-    validate_positions(positions, n)
-    b = bytearray(n)
-    for p in positions:
-        b[p - 1] = 1
-    return bytes(b)
+    return tuple([i for i, bit in enumerate(b, 1) if bit])
 
 
 def mask_from_positions(positions: Sequence[int]) -> int:

@@ -1,48 +1,47 @@
-"""Four interchangeable streaming top-k enumerators.
+"""Four interchangeable streaming top-k enumerators on one best-first driver.
 
-All variants pop candidates from a :class:`BoundedPool` in best-first
-order and emit :class:`RankedSubset` records lazily, one per extraction,
-so consuming q items never does the work of q+1.  They differ in what a
-frontier node carries and which successor rule feeds the pool:
+Each step of the driver extracts the smallest-sum node from a
+:class:`BoundedPool`, inserts the node's successors and emits it as a
+:class:`RankedSubset`, one record per extraction, so consuming q items
+never does the work of q+1.  A variant picks the root, successor rule,
+record and sum key.  All but ``baseline`` skip the successors of the final
+extraction (nothing after it can surface) and after every other step q
+prune the largest entries while the pool holds more than the k - q
+answers still owed; a pruned entry could never be emitted.
 
 ``baseline``
-    Prior-work scheme.  Children of S are (S - {max}) + {max+1} and
-    S + {max+1}, both existing when max(S) < n.  Generation is already
-    duplicate-free but the pool is never pruned, so a completed k-run
-    always makes exactly 2k+1 insertions and peaks at k+1 entries (when
-    no extracted subset tops out at position n).
+    Prior-work scheme over ``(positions, total)`` nodes.  Children of S
+    are (S - {max}) + {max+1} and S + {max+1}, both existing when
+    max(S) < n, so generation is duplicate-free.  It expands every
+    extraction and never prunes: a completed k-run makes exactly 2k+1
+    insertions and peaks at k+1 entries (when no extracted subset tops
+    out at position n).
 
 ``dedup``
-    Walks the denser shift graph: the mandatory static pair plus the
-    configurable incremental edge flavour.  Nodes can be reached twice,
-    so candidate labels are checked against a guard set of canonical
-    masks.  The guard keeps extracted labels for the whole run by
-    default; ``safe=False`` switches to deleting them on extraction,
-    which can report a tied subset twice (see tests for an instance).
+    The denser shift graph over ``(positions, total)`` nodes: the
+    mandatory static pair plus the chosen incremental edge flavour.  A
+    guard set of canonical masks, kept for the whole run, drops
+    candidates reached twice.
 
 ``bitvec``
-    Walks the final one-parent DAG carrying full bit patterns: copying
-    the pattern costs O(n) per child and decoding positions costs O(n)
-    per emission.  Max-side pruning holds the pool near the number of
-    answers still owed.
+    The final one-parent DAG over full bit patterns: O(n) per child to
+    copy the pattern and per emission to decode positions.
 
 ``compact``
-    Same walk in cursor-only form: O(1) state per node, no pattern, no
-    positions.  Emits (parent_rank, removed, added) deltas that
-    :func:`topk_subsets.core.expand_deltas` can replay into positions.
-
-The on-demand walkers skip child generation on the final extraction
-(nothing after it can ever surface), which keeps a completed run's
-insertions within [k, 2k-1].
+    The same walk in cursor-only form: O(1) state per node, no pattern.
+    Emits (parent_rank, removed, added) deltas that
+    :func:`topk_subsets.core.expand_deltas` replays into positions.
 """
 
 from __future__ import annotations
 
 import time
 from enum import Enum
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
-from .core import Delta, InputSet, RankedSubset, SubsetPositions, mask_from_positions
+from .core import (Delta, InputSet, RankedSubset, SubsetPositions, mask_from_positions,
+                   positions_from_bits)
 from .pool import BoundedPool, RunMetrics
 from .shifts import (
     ShiftKind,
@@ -54,15 +53,7 @@ from .shifts import (
     mandatory_static_children,
 )
 
-__all__ = [
-    "Variant",
-    "topk",
-    "baseline_children",
-    "run_baseline",
-    "run_dedup",
-    "run_ondemand_bitvec",
-    "run_ondemand_compact",
-]
+__all__ = ["Variant", "topk", "baseline_children"]
 
 Stream = Iterator[RankedSubset]
 
@@ -74,16 +65,6 @@ class Variant(Enum):
     ONDEMAND_COMPACT = "compact"
 
 
-def _answer_count(r: InputSet, k: int) -> int:
-    """Number of answers a k-run will actually emit: min(k, 2**n - 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = r.n
-    if n < 64 and k > (1 << n) - 1:
-        return (1 << n) - 1
-    return k
-
-
 def baseline_children(s: SubsetPositions, n: int) -> list[SubsetPositions]:
     """Baseline successors of s: replace-max and extend-max, in that order."""
     m = s[-1]
@@ -92,135 +73,79 @@ def baseline_children(s: SubsetPositions, n: int) -> list[SubsetPositions]:
     return [s[:-1] + (m + 1,), s + (m + 1,)]
 
 
-def run_baseline(r: InputSet, k: int) -> tuple[Stream, RunMetrics]:
-    """Prior-work enumeration over (positions, sum) nodes, no pruning."""
-    metrics = RunMetrics()
-    k_eff = _answer_count(r, k)
+def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
+    positions, total = node
     values = r.values
-    n = r.n
-
-    def gen() -> Stream:
-        t0 = time.perf_counter_ns()
-        try:
-            pool = BoundedPool(metrics)
-            pool.insert(((1,), values[0]), values[0])
-            extract, insert = pool.extract_min, pool.insert
-            for q in range(1, k_eff + 1):
-                positions, total = extract()
-                kids = baseline_children(positions, n)
-                if kids:
-                    m = positions[-1]
-                    replaced = total - values[m - 1] + values[m]
-                    extended = total + values[m]
-                    insert((kids[0], replaced), replaced)
-                    insert((kids[1], extended), extended)
-                yield RankedSubset(q, total, positions, None)
-        finally:
-            metrics.elapsed_ns = time.perf_counter_ns() - t0
-
-    return gen(), metrics
+    kids = baseline_children(positions, len(values))
+    if kids:
+        # pair each child with its sum in place: no second list per step
+        m = positions[-1]
+        kids[0] = (kids[0], total - values[m - 1] + values[m])
+        kids[1] = (kids[1], total + values[m])
+    return kids
 
 
-def run_dedup(
-    r: InputSet,
-    k: int,
-    edge_set: ShiftKind = ShiftKind.INCREMENTAL,
-    *,
-    safe: bool = True,
-    prune: bool = True,
-) -> tuple[Stream, RunMetrics]:
-    """Guarded best-first walk over static-pair plus incremental edges.
+def _dedup_successors(edge_set: ShiftKind):
+    seen = {mask_from_positions((1,))}
 
-    The guard is a hash set of canonical bit masks (one membership test
-    per candidate).  With ``prune`` on, the pool is cut back to the
-    number of answers still owed after each step; pruned labels stay in
-    the guard since a pruned subset can never re-enter the answer.
+    def successors(node: tuple, r: InputSet, rank: int) -> Iterator[tuple]:
+        positions, values = node[0], r.values
+        children = [c for c, _ in mandatory_static_children(positions, len(values))]
+        children.extend(incremental_children_all(positions, len(values), edge_set))
+        for child in children:
+            mask = mask_from_positions(child)
+            if mask not in seen:
+                seen.add(mask)
+                yield child, sum(values[p - 1] for p in child)
+
+    return successors
+
+
+def _bitvec_successors(node, r: InputSet, rank: int) -> list:
+    return [child for child, _ in final_dag_children(node, r)]
+
+
+# records skip the Python-level NamedTuple __new__, which costs as much as the successor call
+_new = tuple.__new__
+
+
+def _positions_record(rank: int, node: tuple) -> RankedSubset:
+    return _new(RankedSubset, (rank, node[1], node[0], None))
+
+
+def _bitvec_record(rank: int, node) -> RankedSubset:
+    return _new(RankedSubset, (rank, node.total, positions_from_bits(node.bits), None))
+
+
+def _delta_record(rank: int, node) -> RankedSubset:
+    delta = _new(Delta, (node.parent_rank, node.removed, node.added))
+    return _new(RankedSubset, (rank, node.total, None, delta))
+
+
+def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
+    """Emit ``record(q, node)`` for the k_eff best nodes reachable from root.
+
+    ``successors(node, r, q)`` gives the children of the q-th node and
+    ``key(node)`` its sum.  ``expand_all`` (baseline) expands every
+    extraction and never prunes.
     """
     metrics = RunMetrics()
-    k_eff = _answer_count(r, k)
-    values = r.values
-    n = r.n
 
     def gen() -> Stream:
         t0 = time.perf_counter_ns()
         try:
             pool = BoundedPool(metrics)
-            root = ((1,), values[0])
-            seen = {mask_from_positions(root[0])}
-            pool.insert(root, root[1])
-            for q in range(1, k_eff + 1):
-                positions, total = pool.extract_min()
-                if not safe:
-                    seen.discard(mask_from_positions(positions))
-                children = [c for c, _ in mandatory_static_children(positions, n)]
-                children.extend(incremental_children_all(positions, n, edge_set))
-                for child in children:
-                    mask = mask_from_positions(child)
-                    if mask not in seen:
-                        seen.add(mask)
-                        child_total = sum(values[p - 1] for p in child)
-                        pool.insert((child, child_total), child_total)
-                if prune:
-                    while q < k_eff and len(pool) > k_eff - q:
-                        pool.prune_max()
-                yield RankedSubset(q, total, positions, None)
-        finally:
-            metrics.elapsed_ns = time.perf_counter_ns() - t0
-
-    return gen(), metrics
-
-
-def run_ondemand_bitvec(r: InputSet, k: int) -> tuple[Stream, RunMetrics]:
-    """Final-DAG walk over full bit patterns; positions decoded per emission."""
-    metrics = RunMetrics()
-    k_eff = _answer_count(r, k)
-
-    def gen() -> Stream:
-        t0 = time.perf_counter_ns()
-        try:
-            pool = BoundedPool(metrics)
-            root = bit_root(r)
-            pool.insert(root, root.total)
+            pool.insert(root, key(root))
             # bound locally: the loop body runs k_eff times
             extract, insert, prune = pool.extract_min, pool.insert, pool.prune_max
             for q in range(1, k_eff + 1):
                 node = extract()
-                if q < k_eff:
-                    for child, _ in final_dag_children(node, r):
-                        insert(child, child.total)
-                    if len(pool) > k_eff - q:
+                if q < k_eff or expand_all:
+                    for child in successors(node, r, q):
+                        insert(child, key(child))
+                    while not expand_all and len(pool) > k_eff - q:
                         prune()
-                positions = tuple([i for i, bit in enumerate(node.bits, 1) if bit])
-                yield RankedSubset(q, node.total, positions, None)
-        finally:
-            metrics.elapsed_ns = time.perf_counter_ns() - t0
-
-    return gen(), metrics
-
-
-def run_ondemand_compact(r: InputSet, k: int) -> tuple[Stream, RunMetrics]:
-    """Final-DAG walk in cursor-only form; emits delta records, no positions."""
-    metrics = RunMetrics()
-    k_eff = _answer_count(r, k)
-
-    def gen() -> Stream:
-        t0 = time.perf_counter_ns()
-        try:
-            pool = BoundedPool(metrics)
-            root = compact_root(r)
-            pool.insert(root, root.total)
-            # bound locally: the loop body runs k_eff times
-            extract, insert, prune = pool.extract_min, pool.insert, pool.prune_max
-            for q in range(1, k_eff + 1):
-                node = extract()
-                if q < k_eff:
-                    for child, _ in compact_children(node, r, q):
-                        insert(child, child.total)
-                    if len(pool) > k_eff - q:
-                        prune()
-                yield RankedSubset(
-                    q, node.total, None, Delta(node.parent_rank, node.removed, node.added)
-                )
+                yield record(q, node)
         finally:
             metrics.elapsed_ns = time.perf_counter_ns() - t0
 
@@ -233,22 +158,30 @@ def topk(
     variant: "Variant | str" = Variant.ONDEMAND_COMPACT,
     *,
     edge_set: ShiftKind = ShiftKind.INCREMENTAL,
-    safe: bool = True,
-    prune: bool = True,
 ) -> tuple[Stream, RunMetrics]:
     """Stream the k smallest-sum subsets of r under the chosen variant.
 
     Returns the lazy result stream and its live metrics object; the
-    metrics are final once the stream is exhausted (or closed).  When
-    fewer than k non-empty subsets exist, the stream ends early and
-    ``metrics.extractions`` reports how many were emitted.  Sums are
-    non-decreasing; ties order arbitrarily but deterministically.
+    metrics are final once the stream is exhausted (or closed).  k < 1
+    and an unknown variant raise ``ValueError`` here; the pool is first
+    touched at the first ``next()``.  When fewer than k non-empty subsets
+    exist, the stream ends early and ``metrics.extractions`` reports how
+    many were emitted.  Sums are non-decreasing; ties order arbitrarily
+    but deterministically.  ``edge_set`` applies to ``dedup`` only.
     """
-    variant = Variant(variant) if not isinstance(variant, Variant) else variant
+    variant = Variant(variant)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # no n-bit int: at n = 10**6 building one raised the CLI's peak RSS by 4 MB
+    k_eff = k if r.n >= 64 else min(k, (1 << r.n) - 1)
     if variant is Variant.BASELINE:
-        return run_baseline(r, k)
+        return _best_first(r, k_eff, ((1,), r.values[0]), _baseline_successors,
+                           _positions_record, itemgetter(1), expand_all=True)
     if variant is Variant.DEDUP_HEAP:
-        return run_dedup(r, k, edge_set, safe=safe, prune=prune)
+        return _best_first(r, k_eff, ((1,), r.values[0]), _dedup_successors(edge_set),
+                           _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:
-        return run_ondemand_bitvec(r, k)
-    return run_ondemand_compact(r, k)
+        return _best_first(r, k_eff, bit_root(r), _bitvec_successors, _bitvec_record,
+                           attrgetter("total"))
+    return _best_first(r, k_eff, compact_root(r), compact_children, _delta_record,
+                       attrgetter("total"))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import (
     BitNode,
@@ -40,12 +40,6 @@ from .core import (
 __all__ = [
     "ShiftKind",
     "EdgeType",
-    "is_static_one_shift",
-    "is_incremental_one_shift",
-    "is_mandatory_static_one_shift",
-    "is_mandatory_incremental_one_shift",
-    "is_modified_mandatory_incremental",
-    "static_parents",
     "incremental_children_all",
     "mandatory_static_children",
     "bit_root",
@@ -74,52 +68,6 @@ class EdgeType(Enum):
     TYPE1 = "Type1"
     TYPE2 = "Type2"
     INCREMENTAL = "Incr"
-
-
-# -- relation predicates on position tuples -----------------------------------
-
-
-def is_static_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
-    """True when t equals s with exactly one position advanced by 1."""
-    if len(s) != len(t):
-        return False
-    diffs = [(a, b) for a, b in zip(s, t) if a != b]
-    return len(diffs) == 1 and diffs[0][1] == diffs[0][0] + 1
-
-
-def is_incremental_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
-    """True when t is s plus exactly one extra position."""
-    return len(t) == len(s) + 1 and set(s) < set(t)
-
-
-def static_parents(t: SubsetPositions) -> list[SubsetPositions]:
-    """All s with t a static one shift of s, i.e. one position decremented."""
-    out = []
-    for i, p in enumerate(t):
-        q = p - 1
-        if q >= 1 and (i == 0 or t[i - 1] != q):
-            out.append(t[:i] + (q,) + t[i + 1 :])
-    return out
-
-
-def is_mandatory_static_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
-    """True when s is the lexicographically smallest static parent of t."""
-    parents = static_parents(t)
-    return bool(parents) and s == min(parents)
-
-
-def is_mandatory_incremental_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
-    """True when t adds one position below min(s).
-
-    Equivalently s is the lexicographically largest subset having t as an
-    incremental one shift: dropping min(t) maximizes the position tuple.
-    """
-    return len(t) == len(s) + 1 and t[1:] == tuple(s) and t[0] < s[0]
-
-
-def is_modified_mandatory_incremental(s: SubsetPositions, t: SubsetPositions) -> bool:
-    """True when t is the unique smallest mandatory incremental child: add position 1."""
-    return len(t) == len(s) + 1 and t[1:] == tuple(s) and t[0] == 1 and s[0] > 1
 
 
 _INCREMENTAL_KINDS = (
@@ -269,53 +217,42 @@ def compact_root(r: InputSet) -> CompactNode:
     return CompactNode(0, 1, 1, 0, 1, r.values[0], None, None, 1)
 
 
-def compact_children(
-    node: CompactNode, r: InputSet, parent_rank: int
-) -> list[tuple[CompactNode, EdgeType]]:
-    """Cursor-only form of :func:`final_dag_children`.
+def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[CompactNode]:
+    """Cursor-only form of :func:`final_dag_children`, as bare nodes.
 
     The Type1 neighbour test B[first_after_gap + 1] == 0 becomes
     ``second_after_gap != first_after_gap + 1``; everything else is the
     same arithmetic without the pattern.  second_after_gap survives a
     Type1 move unchanged, becomes the parent's first_after_gap after a
     Type2 move, and resets to 0 on growth (first_after_gap becomes 0).
-    ``parent_rank`` is stamped into each child's delta.
+    ``parent_rank`` is stamped into each child's delta.  The edge kind is
+    read off the delta: growth removes nothing, Type2 removes the parent's
+    prefix_end, Type1 its first_after_gap.
     """
     # one unpack instead of repeated field gets: this runs once per extraction
     fag, pe, last, sag, size, total = node[:6]
     values = r.values
     n = len(values)
-    out: list[tuple[CompactNode, EdgeType]] = []
+    out: list[CompactNode] = []
     if 1 < fag < n and sag != fag + 1:
         moved_last = last + 1 if last == fag else last
         out.append(
-            (
-                CompactNode(
-                    fag + 1, pe, moved_last, sag, size,
-                    total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1
-                ),
-                EdgeType.TYPE1,
+            CompactNode(
+                fag + 1, pe, moved_last, sag, size,
+                total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1
             )
         )
     if 1 <= pe < n:
         moved_last = pe + 1 if last == pe else last
         out.append(
-            (
-                CompactNode(
-                    pe + 1, pe - 1, moved_last, fag, size,
-                    total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1
-                ),
-                EdgeType.TYPE2,
+            CompactNode(
+                pe + 1, pe - 1, moved_last, fag, size,
+                total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1
             )
         )
     if fag == 2 and pe == 0 and last == size + 1:
         out.append(
-            (
-                CompactNode(
-                    0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1
-                ),
-                EdgeType.INCREMENTAL,
-            )
+            CompactNode(0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1)
         )
     return out
 
@@ -349,8 +286,9 @@ def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
     Returns a list of problem descriptions, empty when all hold: at most
     two children per node, every subset generated exactly once, full
     coverage of all 2**n - 1 subsets, incrementally maintained cursors of
-    both node forms equal to the from-scratch recomputation, matching
-    child edges in both forms, and non-decreasing sums along edges.
+    both node forms equal to the from-scratch recomputation, compact
+    deltas (removed, added) equal to the bit difference between parent and
+    child patterns, and non-decreasing sums along edges.
     Runs the bit-pattern and cursor-only walks side by side.
     """
     if r is None:
@@ -383,10 +321,14 @@ def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
         ckids = compact_children(cnode, r, parent_rank=0)
         if len(bkids) > 2:
             problems.append(f"{pattern}: {len(bkids)} children, more than two")
-        if [e for _, e in bkids] != [e for _, e in ckids]:
-            problems.append(f"{pattern}: edge kinds differ between node forms")
+        if len(bkids) != len(ckids):
+            problems.append(f"{pattern}: child counts differ between node forms")
             continue
-        for (bchild, edge), (cchild, _) in zip(bkids, ckids):
+        for (bchild, edge), cchild in zip(bkids, ckids):
+            gone = [p for p, (a, b) in enumerate(zip(bnode.bits, bchild.bits), 1) if a > b]
+            new = [p for p, (a, b) in enumerate(zip(bnode.bits, bchild.bits), 1) if a < b]
+            if (gone or [None], new or [None]) != ([cchild.removed], [cchild.added]):
+                problems.append(f"{pattern} -{edge.value}-> compact delta != bits {gone} {new}")
             if bchild.total != cchild.total:
                 problems.append(f"{pattern} -{edge.value}-> totals differ between forms")
             if bchild.total < bnode.total:

@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,6 @@ from topk_subsets.core import (
     NegativeValueError,
     OverflowRiskError,
     RankedSubset,
-    bits_from_positions,
     cursors_from_bits,
     expand_deltas,
     load_input,
@@ -24,6 +24,14 @@ from topk_subsets.core import (
     sum_of,
     validate_positions,
 )
+
+
+def bits_from_positions(positions: Sequence[int], n: int) -> bytes:
+    validate_positions(positions, n)
+    b = bytearray(n)
+    for p in positions:
+        b[p - 1] = 1
+    return bytes(b)
 
 
 class TestInputSet:

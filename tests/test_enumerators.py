@@ -5,15 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topk_subsets.core import InputSet, expand_deltas, mask_from_positions
-from topk_subsets.enumerators import (
-    Variant,
-    baseline_children,
-    run_baseline,
-    run_dedup,
-    run_ondemand_bitvec,
-    run_ondemand_compact,
-    topk,
-)
+from topk_subsets.enumerators import Variant, baseline_children, topk
 from topk_subsets.oracle import topk_oracle
 from topk_subsets.shifts import ShiftKind
 
@@ -148,6 +140,13 @@ class TestCounters:
             mc.prunes,
         )
 
+    @pytest.mark.parametrize("variant", ["dedup", "bitvec", "compact"])
+    def test_pool_pruned_to_answers_owed(self, variant):
+        # after the q-th result the live pool holds at most the k - q answers still owed
+        stream, m = topk(self.R30, 100, variant)
+        for it in stream:
+            assert m.total_insertions - m.extractions - m.prunes <= 100 - it.rank
+
     def test_extractions_count_reported_rows(self):
         for variant in ALL_VARIANTS:
             rows, m = drain(self.R30, 37, variant)
@@ -184,12 +183,12 @@ class TestStreamingBehavior:
 
 
 class TestDedupModes:
-    """Label bookkeeping under ties: retain-on-extract vs delete-on-extract."""
+    """Label bookkeeping under ties: labels stay in the guard after extraction."""
 
     R_TIED = InputSet.from_values((0, 1, 1))
 
     def test_safe_mode_reports_each_subset_once(self):
-        stream, _ = run_dedup(self.R_TIED, 9, safe=True, prune=False)
+        stream, _ = topk(self.R_TIED, 9, "dedup")
         rows = [(it.rank, it.total, it.positions) for it in stream]
         assert rows == [
             (1, 0, (1,)),
@@ -201,34 +200,12 @@ class TestDedupModes:
             (7, 2, (1, 2, 3)),
         ]
 
-    def test_faithful_mode_double_reports_under_ties(self):
-        # deleting a label at extraction lets a later parent regenerate it:
-        # {1,3} comes out twice and {1,2,3} is crowded out of the top 7
-        stream, _ = run_dedup(self.R_TIED, 9, safe=False, prune=False)
-        rows = [(it.rank, it.total, it.positions) for it in stream]
-        assert rows == [
-            (1, 0, (1,)),
-            (2, 1, (2,)),
-            (3, 1, (1, 2)),
-            (4, 1, (1, 3)),
-            (5, 1, (3,)),
-            (6, 1, (1, 3)),
-            (7, 2, (2, 3)),
-        ]
-        assert len({it for *_, it in rows}) == 6
-
     @pytest.mark.parametrize("edge_set", EDGE_SETS, ids=lambda e: e.value)
     def test_edge_sets_agree_with_oracle(self, edge_set):
         r = InputSet.from_values((0, 0, 2, 5, 5))
         rows, _ = drain(r, 31, "dedup", edge_set=edge_set)
         assert [it.total for it in rows] == [s for s, _ in topk_oracle(r, 31)]
         assert len({mask_from_positions(it.positions) for it in rows}) == 31
-
-    def test_unpruned_matches_pruned(self):
-        r = InputSet.from_values((1, 3, 3, 8))
-        pruned, _ = run_dedup(r, 9)
-        unpruned, _ = run_dedup(r, 9, prune=False)
-        assert [it.positions for it in pruned] == [it.positions for it in unpruned]
 
 
 class TestCompactExpansion:

@@ -1,0 +1,72 @@
+"""Package layout rule: no code in src/ that only tests call.
+
+Every name a module lists in ``__all__`` must be used somewhere in the
+package outside its own definition, or be re-exported by the package's
+``__init__``.  Helpers that only tests need live in the tests.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "topk_subsets"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def exported(tree):
+    """The string entries of a module's top-level ``__all__`` list."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return [elt.value for elt in stmt.value.elts]
+    return []
+
+
+def used_names(stmt):
+    """Identifiers a statement reads, as bare names or as attributes."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def defined_name(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+        if isinstance(target, ast.Name):
+            return target.id
+    return None
+
+
+# (module file name, name defined by the statement or None, names it uses)
+USES = [
+    (path.name, defined_name(stmt), used_names(stmt))
+    for path in PACKAGE.glob("*.py")
+    for stmt in parse(path).body
+]
+REEXPORTED = set(exported(parse(PACKAGE / "__init__.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_public_name_is_used_in_the_package(path):
+    unused = [
+        name
+        for name in exported(parse(path))
+        if name not in REEXPORTED
+        and not any(
+            name in uses and (module, defined) != (path.name, name)
+            for module, defined, uses in USES
+        )
+    ]
+    assert unused == [], f"{path.name}: only tests use {unused}"

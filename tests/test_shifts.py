@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topk_subsets.core import BitNode, InputSet, cursors_from_bits, positions_from_bits
+import topk_subsets.shifts as shifts
+from topk_subsets.core import (
+    BitNode,
+    InputSet,
+    SubsetPositions,
+    cursors_from_bits,
+    positions_from_bits,
+)
 from topk_subsets.shifts import (
     EdgeType,
     ShiftKind,
@@ -23,17 +30,57 @@ from topk_subsets.shifts import (
     final_dag_report,
     growth_child,
     incremental_children_all,
-    is_incremental_one_shift,
-    is_mandatory_incremental_one_shift,
-    is_mandatory_static_one_shift,
-    is_modified_mandatory_incremental,
-    is_static_one_shift,
     mandatory_static_children,
-    static_parents,
     type1_child,
     type2_child,
     walk_final_dag,
 )
+
+
+# -- relation predicates on position tuples -----------------------------------
+
+
+def is_static_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
+    """True when t equals s with exactly one position advanced by 1."""
+    if len(s) != len(t):
+        return False
+    diffs = [(a, b) for a, b in zip(s, t) if a != b]
+    return len(diffs) == 1 and diffs[0][1] == diffs[0][0] + 1
+
+
+def is_incremental_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
+    """True when t is s plus exactly one extra position."""
+    return len(t) == len(s) + 1 and set(s) < set(t)
+
+
+def static_parents(t: SubsetPositions) -> list[SubsetPositions]:
+    """All s with t a static one shift of s, i.e. one position decremented."""
+    out = []
+    for i, p in enumerate(t):
+        q = p - 1
+        if q >= 1 and (i == 0 or t[i - 1] != q):
+            out.append(t[:i] + (q,) + t[i + 1 :])
+    return out
+
+
+def is_mandatory_static_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
+    """True when s is the lexicographically smallest static parent of t."""
+    parents = static_parents(t)
+    return bool(parents) and s == min(parents)
+
+
+def is_mandatory_incremental_one_shift(s: SubsetPositions, t: SubsetPositions) -> bool:
+    """True when t adds one position below min(s).
+
+    Equivalently s is the lexicographically largest subset having t as an
+    incremental one shift: dropping min(t) maximizes the position tuple.
+    """
+    return len(t) == len(s) + 1 and t[1:] == tuple(s) and t[0] < s[0]
+
+
+def is_modified_mandatory_incremental(s: SubsetPositions, t: SubsetPositions) -> bool:
+    """True when t is the unique smallest mandatory incremental child: add position 1."""
+    return len(t) == len(s) + 1 and t[1:] == tuple(s) and t[0] == 1 and s[0] > 1
 
 
 def subsets_of(n):
@@ -232,21 +279,38 @@ class TestCompactForm:
         # cursor form sees as second_after_gap == first_after_gap + 1
         r = InputSet.from_values((1, 2, 3, 4))
 
-        def follow(node, rank, kind):
+        def follow(node, rank, removed):
             return next(
-                c for c, e in compact_children(node, r, rank) if e is kind
+                c for c in compact_children(node, r, rank) if c.removed == removed
             )
 
-        # root 1000 -T2-> 0100 -Incr-> 1100 -T2-> 1010 -T2-> 0110
+        # root 1000 -T2-> 0100 -Incr-> 1100 -T2-> 1010 -T2-> 0110; a move
+        # removes the position it leaves, growth removes nothing
         node = compact_root(r)
-        node = follow(node, 1, EdgeType.TYPE2)
-        node = follow(node, 2, EdgeType.INCREMENTAL)
-        node = follow(node, 3, EdgeType.TYPE2)
-        node = follow(node, 4, EdgeType.TYPE2)
+        node = follow(node, 1, 1)
+        node = follow(node, 2, None)
+        node = follow(node, 3, 2)
+        node = follow(node, 4, 1)
         assert (node.first_after_gap, node.second_after_gap) == (2, 3)
 
-        kinds = [e for _, e in compact_children(node, r, 5)]
-        assert kinds == [EdgeType.INCREMENTAL]
+        deltas = [(c.removed, c.added) for c in compact_children(node, r, 5)]
+        assert deltas == [(None, 1)]  # growth only
+
+
+def test_final_dag_report_checks_compact_deltas(monkeypatch):
+    real = shifts.compact_children
+
+    def skewed(node, r, parent_rank):
+        # moves claim to remove the landing slot instead of the one they leave
+        return [
+            c if c.removed is None else c._replace(removed=c.added)
+            for c in real(node, r, parent_rank)
+        ]
+
+    monkeypatch.setattr(shifts, "compact_children", skewed)
+    problems = final_dag_report(4)
+    assert problems
+    assert "compact delta" in problems[0]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
