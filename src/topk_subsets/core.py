@@ -25,7 +25,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -86,8 +90,31 @@ class InputSet:
     def __post_init__(self) -> None:
         if self.mode not in ("int", "float"):
             raise InputError(f"unknown mode {self.mode!r}, expected 'int' or 'float'")
-        if not self.values:
+        values = self.values
+        if not values:
             raise InputError("input set must contain at least one value")
+        # C-level checks for the common cases: plain ints in either mode, or
+        # plain finite floats in float mode, non-negative and non-decreasing.
+        types = set(map(type, values))
+        plain = types == {int} or (
+            types == {float} and self.mode == "float" and all(map(math.isfinite, values))
+        )
+        if not (plain and values[0] >= 0 and all(map(le, values, islice(values, 1, None)))):
+            self._check_each()
+        if self.mode == "int":
+            worst = self.n * values[-1]
+            if worst > _INT64_MAX:
+                raise OverflowRiskError(
+                    f"n * max(values) = {worst} exceeds the signed 64-bit range"
+                )
+
+    def _check_each(self) -> None:
+        """Per-value checks: raise on the first fault, in value order.
+
+        Runs only when the fast checks fail, to word the error, and decides
+        the rare inputs they do not cover, such as int subclasses other than
+        bool or a mix of ints and floats.
+        """
         prev = None
         for v in self.values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -101,12 +128,6 @@ class InputSet:
             if prev is not None and v < prev:
                 raise InputError("values must be in non-decreasing order")
             prev = v
-        if self.mode == "int":
-            worst = self.n * self.values[-1]
-            if worst > _INT64_MAX:
-                raise OverflowRiskError(
-                    f"n * max(values) = {worst} exceeds the signed 64-bit range"
-                )
 
     @classmethod
     def from_values(cls, values: Iterable[Number], mode: str = "int") -> "InputSet":
@@ -117,29 +138,44 @@ class InputSet:
         return len(self.values)
 
 
+# A comment runs from "#" to the next line boundary, exactly as
+# str.splitlines draws them.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def load_input(source: Union[str, IO[str]], mode: str = "int") -> InputSet:
     """Parse whitespace-separated numbers into a sorted :class:`InputSet`.
 
     ``source`` is raw text or a readable text stream.  A ``#`` starts a
-    comment that runs to the end of its line.  Unsorted input is sorted
-    here; empty input, unparseable tokens, negative values, and integer
-    inputs that could overflow 64-bit sums are rejected.
+    comment that runs to the next line boundary, where a boundary is any
+    that ``str.splitlines`` splits on (``\\n``, ``\\r``, ``\\x0b``,
+    ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``).
+    Unsorted input is sorted here; empty input, unparseable tokens,
+    negative values, and integer inputs that could overflow 64-bit sums
+    are rejected.
+
+    Memory peaks while the tokens are parsed: the token list and the value
+    list are alive together, and the text too when ``source`` is a string
+    (text read from a stream is released once it is split).  The token
+    list is dropped before the values are sorted.
     """
-    text = source if isinstance(source, str) else source.read()
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
+    tokens = _COMMENT.sub("", source if isinstance(source, str) else source.read()).split()
     if not tokens:
         raise InputError("empty input: no values found")
     parse = int if mode == "int" else float
-    values: list[Number] = []
-    for tok in tokens:
-        try:
-            values.append(parse(tok))
-        except ValueError:
-            raise InputError(f"unparseable token {tok!r}") from None
-    return InputSet.from_values(values, mode)
+    try:
+        values: list[Number] = list(map(parse, tokens))
+    except ValueError:
+        # only a failing input pays for this scan, which names the first bad token
+        for tok in tokens:
+            try:
+                parse(tok)
+            except ValueError:
+                raise InputError(f"unparseable token {tok!r}") from None
+        raise
+    del tokens
+    values.sort()
+    return InputSet(tuple(values), mode)
 
 
 def validate_positions(positions: Sequence[int], n: int) -> None:
@@ -289,6 +325,10 @@ class RankedSubset(NamedTuple):
     delta: "Delta | None" = None
 
 
+# records skip the Python-level NamedTuple __new__, which runs once per result
+_new = tuple.__new__
+
+
 def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
     """Replay a delta stream into explicit position tuples.
 
@@ -307,27 +347,25 @@ def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
                 raise ValueError(f"rank {item.rank}: malformed root delta {d}")
             positions = (d.added,)
         else:
-            base = known.get(d.parent_rank)
-            if base is None:
+            positions = known.get(d.parent_rank)
+            if positions is None:
                 raise ValueError(
                     f"rank {item.rank}: delta references unknown rank {d.parent_rank}"
                 )
-            work = list(base)
             if d.removed is not None:
-                try:
-                    work.remove(d.removed)
-                except ValueError:
+                i = bisect_left(positions, d.removed)
+                if i == len(positions) or positions[i] != d.removed:
                     raise ValueError(
                         f"rank {item.rank}: removed position {d.removed} absent "
                         f"from parent subset"
-                    ) from None
+                    )
+                positions = positions[:i] + positions[i + 1 :]
             if d.added is not None:
-                if d.added in work:
+                i = bisect_left(positions, d.added)
+                if i < len(positions) and positions[i] == d.added:
                     raise ValueError(
                         f"rank {item.rank}: added position {d.added} already present"
                     )
-                work.append(d.added)
-                work.sort()
-            positions = tuple(work)
+                positions = positions[:i] + (d.added,) + positions[i:]
         known[item.rank] = positions
-        yield item._replace(positions=positions)
+        yield _new(RankedSubset, (item.rank, item.total, positions, d))

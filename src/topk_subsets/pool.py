@@ -12,9 +12,12 @@ Entries are immutable ``(key, seq, item)`` tuples on a stdlib min heap
 the live entries until the first prune builds the ``(-key, -seq, item)``
 max heap from it.  From then on both heaps take pushes, a removal adds its
 seq to a shared dead set, and the other heap drops that seq when it
-surfaces.  Under the enumerators' rule (prune while the size exceeds the
-answers still owed) fewer than ``peak_size`` extractions follow the first
-prune, so memory follows the peak frontier, not the total insertions.
+surfaces.  Pruned entries are the largest, so they rarely surface on the
+min side; once the dead seqs outnumber twice the live entries (plus a
+small slack), both heaps are rebuilt from the live entries alone.  That
+costs O(1) amortised per removal and keeps each heap within about three
+times the live size, so memory follows the live frontier, not the total
+insertions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Optional
 
 __all__ = ["RunMetrics", "BoundedPool"]
+
+# Dead seqs allowed beyond twice the live size before the heaps are rebuilt;
+# keeps tiny pools from rebuilding on every removal.
+_SLACK = 64
 
 
 @dataclass
@@ -93,9 +100,11 @@ class BoundedPool:
         while seq in dead:
             dead.discard(seq)
             key, seq, item = heappop(h)
+        self._size -= 1
         if self._max is not None:
             dead.add(seq)
-        self._size -= 1
+            if len(dead) > 2 * self._size + _SLACK:
+                self._drop_dead()
         self.metrics.extractions += 1
         if self._log is not None:
             self._log.append(("extract", key, seq))
@@ -115,7 +124,18 @@ class BoundedPool:
             key, seq, item = heappop(h)
         dead.add(-seq)
         self._size -= 1
+        if len(dead) > 2 * self._size + _SLACK:
+            self._drop_dead()
         self.metrics.prunes += 1
         if self._log is not None:
             self._log.append(("prune", -key, -seq))
         return item
+
+    def _drop_dead(self) -> None:
+        """Rebuild both heaps from their live entries and clear the dead set."""
+        dead = self._dead
+        self._min = [e for e in self._min if e[1] not in dead]
+        self._max = [e for e in self._max if -e[1] not in dead]
+        heapify(self._min)
+        heapify(self._max)
+        dead.clear()

@@ -217,6 +217,10 @@ def compact_root(r: InputSet) -> CompactNode:
     return CompactNode(0, 1, 1, 0, 1, r.values[0], None, None, 1)
 
 
+# nodes skip the Python-level NamedTuple __new__, which runs once per child
+_new = tuple.__new__
+
+
 def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[CompactNode]:
     """Cursor-only form of :func:`final_dag_children`, as bare nodes.
 
@@ -236,24 +240,20 @@ def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[C
     out: list[CompactNode] = []
     if 1 < fag < n and sag != fag + 1:
         moved_last = last + 1 if last == fag else last
-        out.append(
-            CompactNode(
-                fag + 1, pe, moved_last, sag, size,
-                total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1
-            )
-        )
+        out.append(_new(CompactNode, (
+            fag + 1, pe, moved_last, sag, size,
+            total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1,
+        )))
     if 1 <= pe < n:
         moved_last = pe + 1 if last == pe else last
-        out.append(
-            CompactNode(
-                pe + 1, pe - 1, moved_last, fag, size,
-                total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1
-            )
-        )
+        out.append(_new(CompactNode, (
+            pe + 1, pe - 1, moved_last, fag, size,
+            total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1,
+        )))
     if fag == 2 and pe == 0 and last == size + 1:
-        out.append(
-            CompactNode(0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1)
-        )
+        out.append(_new(CompactNode, (
+            0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1,
+        )))
     return out
 
 

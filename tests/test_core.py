@@ -3,12 +3,15 @@
 import io
 import itertools
 import math
-from typing import Sequence
+import sys
+from enum import IntEnum
+from typing import IO, Sequence, Union
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from topk_subsets import core
 from topk_subsets.core import (
     Delta,
     InputError,
@@ -113,6 +116,160 @@ class TestLoadInput:
     def test_empty_source(self):
         with pytest.raises(InputError):
             load_input("# nothing but comments\n")
+
+
+# -- reference loader: the per-value code the fast paths replaced --------------
+
+
+def reference_check(values: tuple, mode: str) -> tuple:
+    """``InputSet.__post_init__`` as a plain per-value loop."""
+    if mode not in ("int", "float"):
+        raise InputError(f"unknown mode {mode!r}, expected 'int' or 'float'")
+    if not values:
+        raise InputError("input set must contain at least one value")
+    prev = None
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputError(f"non-numeric value {v!r}")
+        if mode == "int" and not isinstance(v, int):
+            raise InputError(f"non-integer value {v!r} in exact-integer mode")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"non-finite value {v!r}")
+        if v < 0:
+            raise NegativeValueError(f"negative value {v!r} not allowed")
+        if prev is not None and v < prev:
+            raise InputError("values must be in non-decreasing order")
+        prev = v
+    if mode == "int":
+        worst = len(values) * values[-1]
+        if worst > 2**63 - 1:
+            raise OverflowRiskError(
+                f"n * max(values) = {worst} exceeds the signed 64-bit range"
+            )
+    return values
+
+
+def reference_load_input(source: Union[str, IO[str]], mode: str = "int") -> tuple:
+    """``load_input`` line by line and token by token; returns the values."""
+    text = source if isinstance(source, str) else source.read()
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        tokens.extend(line.split())
+    if not tokens:
+        raise InputError("empty input: no values found")
+    parse = int if mode == "int" else float
+    values = []
+    for tok in tokens:
+        try:
+            values.append(parse(tok))
+        except ValueError:
+            raise InputError(f"unparseable token {tok!r}") from None
+    return reference_check(tuple(sorted(values)), mode)
+
+
+def _outcome(fn):
+    """Accepted values with their types, or the exception class and message."""
+    try:
+        values = fn()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in values]
+
+
+# every line boundary of str.splitlines
+_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+_TEXT_PIECES = list("0123456789-.e#") + ["nan", "inf", " ", "\t"] + _BOUNDARIES
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class TestLoaderMatchesReference:
+    @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join),
+           st.sampled_from(["int", "float"]))
+    def test_load_input(self, text, mode):
+        got = _outcome(lambda: load_input(text, mode).values)
+        assert got == _outcome(lambda: reference_load_input(text, mode))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 2**62),
+                st.floats(),
+                st.booleans(),
+                st.sampled_from(list(_Level)),
+                st.just("3"),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.sampled_from(["int", "float", "dec"]),
+    )
+    def test_input_set(self, values, presort, mode):
+        if presort:
+            try:
+                values = sorted(values)
+            except TypeError:
+                pass
+        values = tuple(values)
+        got = _outcome(lambda: InputSet(values, mode).values)
+        assert got == _outcome(lambda: reference_check(values, mode))
+
+    def test_comment_ends_at_any_line_boundary(self):
+        assert load_input("1 # c\r2").values == (1, 2)
+        for boundary in _BOUNDARIES:
+            assert load_input(f"3 # c{boundary}2").values == (2, 3)
+
+    def test_unsorted_negative_reports_negative(self):
+        with pytest.raises(NegativeValueError):
+            InputSet((3, -1))
+
+    def test_bool_rejected_int_subclass_accepted(self):
+        with pytest.raises(InputError, match="non-numeric value True"):
+            InputSet((True, 2))
+        assert InputSet((_Level.LOW, 2)).values == (_Level.LOW, 2)
+
+    def test_bad_token_named_in_order(self):
+        with pytest.raises(InputError, match="unparseable token '2x'"):
+            load_input("1 2x 3 y")
+
+
+def _core_line_events(fn) -> int:
+    """Lines executed inside ``topk_subsets.core`` while fn runs."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != core.__file__:
+            return None
+        if event == "line":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+class TestAcceptPathHasNoPerValueLoop:
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_load_input(self, mode):
+        small = _core_line_events(lambda: load_input("3 1 # c\n2", mode))
+        lines = "\n".join(f"{v} # c" for v in range(2000, 0, -1))
+        assert _core_line_events(lambda: load_input(lines, mode)) == small
+
+    def test_input_set(self):
+        small = _core_line_events(lambda: InputSet((1, 2)))
+        assert _core_line_events(lambda: InputSet(tuple(range(2000)))) == small
+        small = _core_line_events(lambda: InputSet((0.5, 2.0), "float"))
+        assert _core_line_events(lambda: InputSet((0.5,) * 2000, "float")) == small
 
 
 class TestValidatePositions:

@@ -191,3 +191,28 @@ def test_extracted_items_are_released():
     assert m.prunes > 0 and m.extractions == k
     alive = sum(ref() is not None for ref in extracted)
     assert alive <= m.peak_size < k // 2
+
+
+def test_pruned_items_are_released():
+    """Under heavy pruning the heaps follow the live size, not the insertions."""
+    rng = random.Random(11)
+    k = 400
+    pool = BoundedPool()
+    pool.insert(_Node(0), 0)
+    inserted = []
+    for q in range(1, k):
+        node = pool.extract_min()
+        for _ in range(20):
+            key = node.key + rng.randrange(1, 50)
+            child = _Node(key)
+            inserted.append(weakref.ref(child))
+            pool.insert(child, key)
+        while len(pool) > k - q:
+            pool.prune_max()
+        if q % 50 == 0:
+            del node, child
+            gc.collect()
+            alive = sum(ref() is not None for ref in inserted)
+            # each heap holds the live entries plus fewer than 2 * live + 64 dead ones
+            assert alive <= 3 * len(pool) + 65
+    assert pool.metrics.prunes > 15 * k
