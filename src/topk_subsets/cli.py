@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from time import monotonic
 from typing import IO, Sequence
 
 from .bench import BenchConfig, UniformInteger, emit_csv, gen_instance, median_cells, run_matrix
@@ -29,6 +30,9 @@ _EDGE_SETS = {
 }
 
 _ALGOS = [v.value for v in Variant]
+
+# Longest a written line waits in the stdout buffer while results keep coming.
+_FLUSH_INTERVAL_S = 0.05
 
 
 def _positive_int(text: str) -> int:
@@ -116,10 +120,10 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
     try:
         if args.input == "-":
-            r = load_input(sys.stdin, args.mode)
+            r = load_input(sys.stdin, args.mode, keep=args.k)
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
-                r = load_input(fh, args.mode)
+                r = load_input(fh, args.mode, keep=args.k)
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 3
@@ -134,6 +138,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         stream = expand_deltas(stream)
 
     emitted = 0
+    # one flush per time slice, not per line, still keeps `| head` prompt
+    next_flush = monotonic() + _FLUSH_INTERVAL_S
     try:
         for item in stream:
             if args.output == "sums":
@@ -147,8 +153,11 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 removed = "-" if d.removed is None else str(d.removed)
                 added = "-" if d.added is None else str(d.added)
                 out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
-            out.flush()
             emitted += 1
+            if monotonic() >= next_flush:
+                out.flush()
+                next_flush = monotonic() + _FLUSH_INTERVAL_S
+        out.flush()
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so the interpreter's
         # final flush of the unwritten buffer cannot fail a second time.
@@ -165,6 +174,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             fh.write(f"prunes={metrics.prunes}\n")
             fh.write(f"elapsed_ns={metrics.elapsed_ns}\n")
             fh.write(f"reported_count={emitted}\n")
+    # A cut load (k + 1 < n) never gets here: it keeps m + 1 >= k + 1 values,
+    # which form more than k subsets, so r.n in the notice is the full n.
     if emitted < args.k:
         print(
             f"note: truncated at {emitted} subsets; only {emitted} non-empty "

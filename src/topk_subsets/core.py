@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from operator import le
@@ -143,7 +143,9 @@ class InputSet:
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def load_input(source: Union[str, IO[str]], mode: str = "int") -> InputSet:
+def load_input(
+    source: Union[str, IO[str]], mode: str = "int", keep: "int | None" = None
+) -> InputSet:
     """Parse whitespace-separated numbers into a sorted :class:`InputSet`.
 
     ``source`` is raw text or a readable text stream.  A ``#`` starts a
@@ -154,11 +156,27 @@ def load_input(source: Union[str, IO[str]], mode: str = "int") -> InputSet:
     negative values, and integer inputs that could overflow 64-bit sums
     are rejected.
 
+    ``keep=k`` loads only what the k smallest subset sums can use.  The k
+    singletons are k distinct subsets, so the k-th smallest sum is at most
+    v_k, the k-th smallest value.  With m the last position whose value
+    equals v_k, every value past m exceeds v_k, so no answer contains
+    position m+1 or later.  The set returned holds the m+1 smallest values
+    (all of them when m+1 >= n): position m+1 stays so that every
+    successor rule tests its bound ``p < n`` as it would on the full set.
+    The cut applies in int mode only (float totals are inexact, so
+    rounding could let a node past the cut surface), and every verdict is
+    still reached over the full input, so errors and messages do not
+    depend on ``keep``: each token is parsed, an input that fails the
+    63-bit guard (full n and maximum) is loaded uncut, and the prefix
+    holds the global minimum, which the sign check looks at.
+
     Memory peaks while the tokens are parsed: the token list and the value
     list are alive together, and the text too when ``source`` is a string
     (text read from a stream is released once it is split).  The token
     list is dropped before the values are sorted.
     """
+    if keep is not None and keep < 1:
+        raise ValueError("keep must be >= 1")
     tokens = _COMMENT.sub("", source if isinstance(source, str) else source.read()).split()
     if not tokens:
         raise InputError("empty input: no values found")
@@ -174,8 +192,41 @@ def load_input(source: Union[str, IO[str]], mode: str = "int") -> InputSet:
                 raise InputError(f"unparseable token {tok!r}") from None
         raise
     del tokens
+    n = len(values)
+    if mode == "int" and keep is not None and keep + 1 < n and n * max(values) <= _INT64_MAX:
+        return InputSet(tuple(_answer_prefix(values, keep)), mode)
     values.sort()
     return InputSet(tuple(values), mode)
+
+
+def _answer_prefix(values: list, keep: int) -> list:
+    """The m+1 smallest of the parsed ints, m the last position of v_keep.
+
+    Needs ``keep + 1 < n``.  The smallest values are found without a full
+    sort: a threshold taken from a sorted stride sample a little above the
+    (keep+1)/n quantile filters the values at C level, and only the
+    survivors are sorted.  When the survivors end at or before position m,
+    the threshold is raised; at the top of the sample the whole list is
+    sorted instead.  The result depends on m alone, not on the sample.
+    """
+    n = len(values)
+    sample = sorted(values[:: max(1, n // 4096)])
+    i = (keep + 1) * len(sample) // n
+    step = 8 + i // 8
+    while True:
+        i += step
+        step *= 2
+        if i >= len(sample) - 1:
+            values.sort()
+            kept = values
+        else:
+            kept = list(filter(sample[i].__ge__, values))
+            if len(kept) <= keep:
+                continue
+            kept.sort()
+        m = bisect_right(kept, kept[keep - 1])
+        if m < len(kept) or kept is values:
+            return kept[: m + 1]
 
 
 def validate_positions(positions: Sequence[int], n: int) -> None:

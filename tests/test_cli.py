@@ -1,14 +1,20 @@
 """End-to-end CLI behavior, mostly through in-process main() calls."""
 
+import contextlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import topk_subsets
+from topk_subsets import cli
 from topk_subsets.cli import main
+from topk_subsets.core import load_input
 
 
 @pytest.fixture()
@@ -100,6 +106,13 @@ class TestTopkCommand:
         assert len(out.splitlines()) == 7
         assert "truncated at 7" in err
 
+    def test_truncation_notice_names_full_n(self, tmp_path, capsys):
+        path = tmp_path / "five.txt"
+        path.write_text("5 4 3 2 1\n")
+        out, err = run_ok(["topk", "--input", str(path), "--k", "40"], capsys)
+        assert len(out.splitlines()) == 31
+        assert err == "note: truncated at 31 subsets; only 31 non-empty subsets exist for n=5\n"
+
     def test_dedup_edge_set_accepted(self, input_file, capsys):
         out, _ = run_ok(
             ["topk", "--input", input_file, "--k", "3",
@@ -130,6 +143,64 @@ class TestTopkCommand:
         assert head == [b"1\t1\n", b"2\t2\n"]
         assert err_path.read_bytes() == b""
         assert code == 141
+
+
+def _run_captured(argv, text):
+    """main(argv) on stdin text: exit code, stdout, and --metrics lines minus elapsed_ns."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(text))
+        metrics = os.path.join(tmp, "metrics.txt")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--metrics", metrics])
+        with open(metrics, encoding="ascii") as fh:
+            lines = [line for line in fh.read().splitlines()
+                     if not line.startswith("elapsed_ns=")]
+    return code, out.getvalue(), lines
+
+
+_CLI_RUNS = [
+    (algo, output, edge)
+    for algo in ("baseline", "dedup", "bitvec", "compact")
+    for output in ("sums", "subsets", "deltas")
+    for edge in ((None,) if algo != "dedup" else ("incr", "mincr", "mmincr"))
+    if output != "deltas" or algo == "compact"
+]
+
+
+class TestCutLoadOutput:
+    """The CLI's answer-bounded load prints what an uncut load prints."""
+
+    @given(
+        st.one_of(
+            st.lists(st.just(0), min_size=1, max_size=10),
+            st.lists(st.integers(0, 3), min_size=1, max_size=10),
+            st.integers(1, 4).flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=10)),
+        ),
+        st.integers(1, 12),
+        st.sampled_from(_CLI_RUNS),
+    )
+    def test_bytes_and_counters_match_an_uncut_load(self, values, k, run):
+        algo, output, edge = run
+        argv = ["topk", "--k", str(k), "--algo", algo, "--output", output]
+        if edge is not None:
+            argv += ["--edge-set", edge]
+        text = " ".join(map(str, values))
+        code, out, metrics = _run_captured(argv, text)
+        with pytest.MonkeyPatch.context() as mp:
+            # as the tracer swaps it: same name, but keep is dropped
+            real = cli.load_input
+            mp.setattr(cli, "load_input", lambda source, mode="int", keep=None: real(source, mode))
+            want_code, want_out, want_metrics = _run_captured(argv, text)
+        assert (code, out) == (want_code, want_out)
+        if (algo, edge) == ("dedup", "incr"):
+            # incr edges reach every position up to n: fewer insertions after a cut
+            got, want = dict(m.split("=") for m in metrics), dict(m.split("=") for m in want_metrics)
+            assert got.keys() == want.keys()
+            assert got["extractions"] == want["extractions"]
+            assert all(int(got[key]) <= int(want[key]) for key in got)
+        else:
+            assert metrics == want_metrics
 
 
 class TestFlagErrors:
@@ -168,6 +239,25 @@ class TestInputErrors:
         path.write_text("3 -1\n")
         assert main(["topk", "--input", str(path), "--k", "2"]) == 3
         assert "error" in capsys.readouterr().err
+
+    # values a --k 1 load cuts away are still checked: the verdict is the full input's
+    def test_overflow_past_the_cut(self, tmp_path, capsys):
+        text = "1 2 3 4611686018427387904\n"
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert main(["topk", "--input", str(path), "--k", "1"]) == 3
+        with pytest.raises(topk_subsets.OverflowRiskError) as exc:
+            load_input(text)
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert str(exc.value) == (
+            "n * max(values) = 18446744073709551616 exceeds the signed 64-bit range"
+        )
+
+    def test_bad_token_past_the_cut(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("5 1 2 x\n")
+        assert main(["topk", "--input", str(path), "--k", "1"]) == 3
+        assert capsys.readouterr().err == "error: unparseable token 'x'\n"
 
     def test_non_finite_float(self, tmp_path, capsys):
         path = tmp_path / "nan.txt"

@@ -4,11 +4,12 @@ import io
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from enum import IntEnum
 from typing import IO, Sequence, Union
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topk_subsets import core
@@ -27,6 +28,8 @@ from topk_subsets.core import (
     sum_of,
     validate_positions,
 )
+from topk_subsets.enumerators import Variant, topk
+from topk_subsets.shifts import ShiftKind
 
 
 def bits_from_positions(positions: Sequence[int], n: int) -> bytes:
@@ -238,6 +241,114 @@ class TestLoaderMatchesReference:
             load_input("1 2x 3 y")
 
 
+# -- answer-bounded load (keep=k) ----------------------------------------------
+
+
+def _cut_length(values: tuple, k: int) -> int:
+    """min(n, m+1), with m the last position whose value equals v_k."""
+    n = len(values)
+    return n if k >= n else min(n, bisect_right(values, values[k - 1]) + 1)
+
+
+# tie-heavy value lists: all zeros, one repeated value, few distinct values
+_TIED_VALUES = st.one_of(
+    st.lists(st.just(0), min_size=1, max_size=10),
+    st.integers(0, 5).flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=10)),
+    st.lists(st.integers(0, 3), min_size=1, max_size=10),
+)
+_BAD_TOKENS = ["-1", "x", str(2**62)]
+
+
+@st.composite
+def _tied_case(draw):
+    """A tie-heavy value list and a k from 1 past 2**n, often small enough to cut."""
+    vals = draw(_TIED_VALUES)
+    k = draw(st.one_of(st.integers(1, max(1, len(vals) - 2)), st.integers(1, 2 ** len(vals) + 2)))
+    return vals, k
+
+
+# every variant, and dedup once per edge set
+_EDGE_SETS = (ShiftKind.INCREMENTAL, ShiftKind.MANDATORY_INCREMENTAL,
+              ShiftKind.MODIFIED_MANDATORY_INCREMENTAL)
+_RUNS = [(v, ShiftKind.INCREMENTAL) for v in Variant if v is not Variant.DEDUP_HEAP] + [
+    (Variant.DEDUP_HEAP, e) for e in _EDGE_SETS
+]
+_COUNTERS = ("total_insertions", "peak_size", "extractions", "prunes")
+
+
+def _run(r: InputSet, k: int, variant: Variant, edge_set: ShiftKind):
+    stream, metrics = topk(r, k, variant, edge_set=edge_set)
+    records = list(stream)
+    return records, {name: getattr(metrics, name) for name in _COUNTERS}
+
+
+class TestAnswerBoundedLoad:
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(["0", "0", "1", "2", "7"]), st.sampled_from(_BAD_TOKENS)),
+            min_size=1,
+            max_size=10,
+        ).map(" ".join),
+        st.integers(1, 12),
+    )
+    @example("1 2 3 4611686018427387904", 1)
+    @example("5 1 2 x", 1)
+    @example("3 -1 0 0 0", 2)
+    def test_same_verdict_or_a_prefix(self, text, k):
+        full = _outcome(lambda: load_input(text).values)
+        cut = _outcome(lambda: load_input(text, keep=k).values)
+        if isinstance(full, tuple):  # rejected: same class and message
+            assert cut == full
+        else:
+            assert cut == full[: _cut_length(load_input(text).values, k)]
+
+    @settings(max_examples=200)  # all-equal lists never cut, so draw more
+    @given(_tied_case())
+    @example(([0] * 9, 3))
+    @example(([2] * 9, 1))
+    @example(([1, 1, 2, 2, 3, 3, 3, 0, 0], 4))
+    def test_records_and_counters_match_the_full_load(self, case):
+        vals, k = case
+        text = " ".join(map(str, vals))
+        full, cut = load_input(text), load_input(text, keep=k)
+        assert cut.values == full.values[: _cut_length(full.values, k)]
+        for variant, edge_set in _RUNS:
+            want_records, want = _run(full, k, variant, edge_set)
+            got_records, got = _run(cut, k, variant, edge_set)
+            assert got_records == want_records, (variant, edge_set)
+            if (variant, edge_set) == (Variant.DEDUP_HEAP, ShiftKind.INCREMENTAL):
+                # incr adds any absent position up to n: the cut run inserts less
+                assert got["extractions"] == want["extractions"]
+                assert all(got[name] <= want[name] for name in _COUNTERS)
+            else:
+                assert got == want, (variant, edge_set)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [v % 1000 for v in range(20_000)],  # each value 20 times
+            [7] * 20_000,  # no cut possible: every sampled threshold keeps all
+            [0] * 19_000 + list(range(1000)),  # the first thresholds keep only zeros
+            list(range(20_000, 0, -1)),
+            # the stride sample sees only the zeros: thresholds keep too few values
+            [0 if i % 4 == 0 else i for i in range(20_000)],
+        ],
+        ids=["repeats", "all-equal", "zero-plateau", "distinct", "sampled-zeros"],
+    )
+    @pytest.mark.parametrize("k", [1, 5, 3000, 6000, 18_999, 19_998])
+    def test_sampled_thresholds_on_wide_inputs(self, values, k):
+        text = "\n".join(map(str, values))
+        full = tuple(sorted(values))
+        assert load_input(text, keep=k).values == full[: _cut_length(full, k)]
+
+    def test_float_mode_is_not_cut(self):
+        assert load_input("3 1 2 2", "float", keep=1).values == (1.0, 2.0, 2.0, 3.0)
+
+    def test_keep_must_be_positive(self):
+        with pytest.raises(ValueError, match="keep"):
+            load_input("1 2", keep=0)
+
+
 def _core_line_events(fn) -> int:
     """Lines executed inside ``topk_subsets.core`` while fn runs."""
     count = 0
@@ -264,6 +375,12 @@ class TestAcceptPathHasNoPerValueLoop:
         small = _core_line_events(lambda: load_input("3 1 # c\n2", mode))
         lines = "\n".join(f"{v} # c" for v in range(2000, 0, -1))
         assert _core_line_events(lambda: load_input(lines, mode)) == small
+
+    def test_load_input_with_keep(self):
+        # 20 and 2000 values both filter below one sampled threshold
+        small = _core_line_events(lambda: load_input(" ".join(map(str, range(20, 0, -1))), keep=1))
+        lines = "\n".join(f"{v} # c" for v in range(2000, 0, -1))
+        assert _core_line_events(lambda: load_input(lines, keep=1)) == small
 
     def test_input_set(self):
         small = _core_line_events(lambda: InputSet((1, 2)))
