@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from time import monotonic
 from typing import IO, Sequence
 
 from .bench import BenchConfig, UniformInteger, emit_csv, gen_instance, median_cells, run_matrix
@@ -30,9 +29,6 @@ _EDGE_SETS = {
 }
 
 _ALGOS = [v.value for v in Variant]
-
-# Longest a written line waits in the stdout buffer while results keep coming.
-_FLUSH_INTERVAL_S = 0.05
 
 
 def _positive_int(text: str) -> int:
@@ -138,8 +134,6 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         stream = expand_deltas(stream)
 
     emitted = 0
-    # one flush per time slice, not per line, still keeps `| head` prompt
-    next_flush = monotonic() + _FLUSH_INTERVAL_S
     try:
         for item in stream:
             if args.output == "sums":
@@ -153,11 +147,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 removed = "-" if d.removed is None else str(d.removed)
                 added = "-" if d.added is None else str(d.added)
                 out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
+            out.flush()
             emitted += 1
-            if monotonic() >= next_flush:
-                out.flush()
-                next_flush = monotonic() + _FLUSH_INTERVAL_S
-        out.flush()
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so the interpreter's
         # final flush of the unwritten buffer cannot fail a second time.

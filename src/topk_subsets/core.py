@@ -202,31 +202,25 @@ def load_input(
 def _answer_prefix(values: list, keep: int) -> list:
     """The m+1 smallest of the parsed ints, m the last position of v_keep.
 
-    Needs ``keep + 1 < n``.  The smallest values are found without a full
-    sort: a threshold taken from a sorted stride sample a little above the
-    (keep+1)/n quantile filters the values at C level, and only the
-    survivors are sorted.  When the survivors end at or before position m,
-    the threshold is raised; at the top of the sample the whole list is
-    sorted instead.  The result depends on m alone, not on the sample.
+    Needs ``keep + 1 < n``.  A threshold a little above the (keep+1)/n
+    quantile of a sorted stride sample filters the values at C level, and
+    only the survivors are sorted.  When they do not reach past position m
+    (the threshold fell below v_keep or on its ties), the whole list is
+    sorted instead, as without ``keep``.  The result depends on m alone,
+    not on the sample.
     """
     n = len(values)
     sample = sorted(values[:: max(1, n // 4096)])
     i = (keep + 1) * len(sample) // n
-    step = 8 + i // 8
-    while True:
-        i += step
-        step *= 2
-        if i >= len(sample) - 1:
-            values.sort()
-            kept = values
-        else:
-            kept = list(filter(sample[i].__ge__, values))
-            if len(kept) <= keep:
-                continue
-            kept.sort()
+    kept = list(filter(sample[min(i + 8 + i // 8, len(sample) - 1)].__ge__, values))
+    if len(kept) > keep:
+        kept.sort()
         m = bisect_right(kept, kept[keep - 1])
-        if m < len(kept) or kept is values:
+        if m < len(kept):
             return kept[: m + 1]
+    del kept
+    values.sort()
+    return values[: bisect_right(values, values[keep - 1]) + 1]
 
 
 def validate_positions(positions: Sequence[int], n: int) -> None:

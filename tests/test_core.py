@@ -327,10 +327,10 @@ class TestAnswerBoundedLoad:
         "values",
         [
             [v % 1000 for v in range(20_000)],  # each value 20 times
-            [7] * 20_000,  # no cut possible: every sampled threshold keeps all
-            [0] * 19_000 + list(range(1000)),  # the first thresholds keep only zeros
+            [7] * 20_000,  # no cut possible: the threshold keeps all
+            [0] * 19_000 + list(range(1000)),  # the threshold keeps only the tied zeros
             list(range(20_000, 0, -1)),
-            # the stride sample sees only the zeros: thresholds keep too few values
+            # the stride sample sees only the zeros: the threshold keeps too few values
             [0 if i % 4 == 0 else i for i in range(20_000)],
         ],
         ids=["repeats", "all-equal", "zero-plateau", "distinct", "sampled-zeros"],
