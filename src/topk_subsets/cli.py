@@ -14,10 +14,8 @@ import os
 import sys
 from typing import IO, Sequence
 
-from .bench import BenchConfig, UniformInteger, emit_csv, gen_instance, median_cells, run_matrix
 from .core import InputError, expand_deltas, load_input
 from .enumerators import Variant, topk
-from .oracle import all_subsets_sorted
 from .shifts import ShiftKind, final_dag_report, walk_final_dag
 
 __all__ = ["main"]
@@ -176,7 +174,11 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+# verify and bench import their helpers on call: csv and statistics are not loaded for topk
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .bench import UniformInteger, gen_instance
+    from .oracle import all_subsets_sorted
+
     if args.n_max > 16:
         parser.error("--n-max is capped at 16 (oracle cost doubles per step)")
     algos = _parse_algos(parser, args.algos)
@@ -232,6 +234,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .bench import BenchConfig, emit_csv, median_cells, run_matrix
+
     variants = _parse_algos(parser, args.algos)
     cfg = BenchConfig(
         n_list=args.n_list,

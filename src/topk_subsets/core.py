@@ -377,40 +377,44 @@ _new = tuple.__new__
 def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
     """Replay a delta stream into explicit position tuples.
 
-    Each incoming record must carry a delta whose ``parent_rank`` refers
-    to an earlier record (None for the root).  Memory grows with the
-    number of records kept, O(k * n) worst case, since any later delta may
-    reference any earlier rank.
+    Records must come with consecutive ranks from 1, each carrying a delta
+    whose ``parent_rank`` refers to an earlier record (None for the root).
+    One position tuple per rank is kept, in a list indexed by rank, so
+    memory grows with the number of records, O(k * n) worst case, since
+    any later delta may reference any earlier rank.
     """
-    known: dict[int, tuple[int, ...]] = {}
+    known: list = [None]  # known[rank]: the positions emitted at that rank
     for item in stream:
-        d = item.delta
+        rank, d = item.rank, item.delta
+        if rank != len(known):
+            raise ValueError(f"rank {rank}: out of sequence, expected rank {len(known)}")
         if d is None:
-            raise ValueError(f"rank {item.rank}: no delta to expand")
-        if d.parent_rank is None:
-            if d.added is None or d.removed is not None:
-                raise ValueError(f"rank {item.rank}: malformed root delta {d}")
-            positions = (d.added,)
+            raise ValueError(f"rank {rank}: no delta to expand")
+        parent, removed, added = d
+        if parent is None:
+            if added is None or removed is not None:
+                raise ValueError(f"rank {rank}: malformed root delta {d}")
+            positions = (added,)
         else:
-            positions = known.get(d.parent_rank)
-            if positions is None:
-                raise ValueError(
-                    f"rank {item.rank}: delta references unknown rank {d.parent_rank}"
-                )
-            if d.removed is not None:
-                i = bisect_left(positions, d.removed)
-                if i == len(positions) or positions[i] != d.removed:
+            if not 0 < parent < rank:
+                raise ValueError(f"rank {rank}: delta references unknown rank {parent}")
+            positions = known[parent]
+            if removed is not None:
+                i = bisect_left(positions, removed)
+                if i == len(positions) or positions[i] != removed:
                     raise ValueError(
-                        f"rank {item.rank}: removed position {d.removed} absent "
-                        f"from parent subset"
+                        f"rank {rank}: removed position {removed} absent from parent subset"
                     )
-                positions = positions[:i] + positions[i + 1 :]
-            if d.added is not None:
-                i = bisect_left(positions, d.added)
-                if i < len(positions) and positions[i] == d.added:
-                    raise ValueError(
-                        f"rank {item.rank}: added position {d.added} already present"
-                    )
-                positions = positions[:i] + (d.added,) + positions[i:]
-        known[item.rank] = positions
-        yield _new(RankedSubset, (item.rank, item.total, positions, d))
+                if added == removed + 1 and positions[i + 1 : i + 2] != (added,):
+                    # a shift onto a free slot: the sorted order is kept in place
+                    positions = positions[:i] + (added,) + positions[i + 1 :]
+                    added = None
+                else:
+                    positions = positions[:i] + positions[i + 1 :]
+            if added is not None:
+                i = bisect_left(positions, added)
+                if i < len(positions) and positions[i] == added:
+                    raise ValueError(f"rank {rank}: added position {added} already present")
+                positions = positions[:i] + (added,) + positions[i:]
+        known.append(positions)
+        yield _new(RankedSubset, (rank, item.total, positions, d))

@@ -5,9 +5,9 @@ Each step of the driver extracts the smallest-sum node from a
 :class:`RankedSubset`, one record per extraction, so consuming q items
 never does the work of q+1.  A variant picks the root, successor rule,
 record and sum key.  All but ``baseline`` skip the successors of the final
-extraction (nothing after it can surface) and after every other step q
-prune the largest entries while the pool holds more than the k - q
-answers still owed; a pruned entry could never be emitted.
+extraction (nothing after it can surface) and after every other step q,
+when the pool holds more than the k - q answers still owed, declare that
+budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
 
 ``baseline``
     Prior-work scheme over ``(positions, total)`` nodes.  Children of S
@@ -36,6 +36,7 @@ answers still owed; a pruned entry could never be emitted.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Iterator
@@ -85,13 +86,14 @@ def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
     return kids
 
 
-def _dedup_successors(edge_set: ShiftKind):
+def _dedup_successors(edge_set: ShiftKind, n: int):
+    """Dedup successors over positions 1..n only."""
     seen = {mask_from_positions((1,))}
 
     def successors(node: tuple, r: InputSet, rank: int) -> Iterator[tuple]:
         positions, values = node[0], r.values
-        children = [c for c, _ in mandatory_static_children(positions, len(values))]
-        children.extend(incremental_children_all(positions, len(values), edge_set))
+        children = [c for c, _ in mandatory_static_children(positions, n)]
+        children.extend(incremental_children_all(positions, n, edge_set))
         for child in children:
             mask = mask_from_positions(child)
             if mask not in seen:
@@ -118,8 +120,8 @@ def _bitvec_record(rank: int, node) -> RankedSubset:
 
 
 def _delta_record(rank: int, node) -> RankedSubset:
-    delta = _new(Delta, (node.parent_rank, node.removed, node.added))
-    return _new(RankedSubset, (rank, node.total, None, delta))
+    # node[5] is CompactNode.total, node[6:] its (parent_rank, removed, added)
+    return _new(RankedSubset, (rank, node[5], None, _new(Delta, node[6:])))
 
 
 def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
@@ -137,14 +139,14 @@ def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
             pool = BoundedPool(metrics)
             pool.insert(root, key(root))
             # bound locally: the loop body runs k_eff times
-            extract, insert, prune = pool.extract_min, pool.insert, pool.prune_max
+            extract, insert, prune_to = pool.extract_min, pool.insert, pool.prune_to
             for q in range(1, k_eff + 1):
                 node = extract()
                 if q < k_eff or expand_all:
                     for child in successors(node, r, q):
                         insert(child, key(child))
-                    while not expand_all and len(pool) > k_eff - q:
-                        prune()
+                    if not expand_all and len(pool) > k_eff - q:
+                        prune_to(k_eff - q)
                 yield record(q, node)
         finally:
             metrics.elapsed_ns = time.perf_counter_ns() - t0
@@ -178,10 +180,15 @@ def topk(
         return _best_first(r, k_eff, ((1,), r.values[0]), _baseline_successors,
                            _positions_record, itemgetter(1), expand_all=True)
     if variant is Variant.DEDUP_HEAP:
-        return _best_first(r, k_eff, ((1,), r.values[0]), _dedup_successors(edge_set),
+        n = r.n
+        if k_eff < n:
+            # as load_input(keep=k): no answer uses a position past m + 1, m the
+            # last position equal to v_k, and incr edges would add them all
+            n = min(n, bisect_right(r.values, r.values[k_eff - 1]) + 1)
+        return _best_first(r, k_eff, ((1,), r.values[0]), _dedup_successors(edge_set, n),
                            _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:
         return _best_first(r, k_eff, bit_root(r), _bitvec_successors, _bitvec_record,
                            attrgetter("total"))
     return _best_first(r, k_eff, compact_root(r), compact_children, _delta_record,
-                       attrgetter("total"))
+                       itemgetter(5))

@@ -1,12 +1,169 @@
-"""Double-ended bounded pool: ordering, tie behavior, counters, op log."""
+"""Budget pool: ordering, ties, budget contract, counters, memory.
+
+``ReferencePool`` is the double-heap pool that ``BoundedPool`` replaced, kept
+as the reference the enumerator differential compares against.
+"""
 
 import gc
 import random
 import weakref
+from heapq import heapify, heappop, heappush
+from typing import Any, Optional
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from topk_subsets import enumerators
+from topk_subsets.core import InputSet
+from topk_subsets.enumerators import Variant, topk
 from topk_subsets.pool import BoundedPool, RunMetrics
+from topk_subsets.shifts import ShiftKind
+
+# -- the reference --------------------------------------------------------------
+
+# Dead seqs allowed beyond twice the live size before the heaps are rebuilt;
+# keeps tiny pools from rebuilding on every removal.
+_SLACK = 64
+
+
+class ReferencePool:
+    """The double-heap pool before the budget contract, kept verbatim but for its name.
+
+    Min-extraction priority pool with max-side pruning.
+
+    ``metrics`` may be shared with the caller; counters are updated in
+    place.  When ``log`` is a list, every mutating operation appends a
+    ``(op, key, seq)`` record, which the tests replay to confirm the
+    counters are exact.  Metrics count logical entries only, never
+    tombstone pops.  Instances are single-threaded.
+    """
+
+    __slots__ = ("_min", "_max", "_dead", "_size", "_seq", "metrics", "_log")
+
+    def __init__(self, metrics: Optional[RunMetrics] = None,
+                 log: Optional[list[tuple[str, Any, int]]] = None) -> None:
+        self._min: list = []
+        self._max: Optional[list] = None
+        self._dead: set = set()
+        self._size = 0
+        self._seq = 0
+        self.metrics = metrics if metrics is not None else RunMetrics()
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._size
+
+    def insert(self, item: Any, key) -> None:
+        """Add an item under a sum key."""
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._min, (key, seq, item))
+        if self._max is not None:
+            heappush(self._max, (-key, -seq, item))
+        size = self._size + 1
+        self._size = size
+        m = self.metrics
+        m.total_insertions += 1
+        if size > m.peak_size:
+            m.peak_size = size
+        if self._log is not None:
+            self._log.append(("insert", key, seq))
+
+    def extract_min(self) -> Any:
+        """Remove and return the item with the smallest (key, seq)."""
+        if self._size == 0:
+            raise IndexError("extract_min on an empty pool")
+        h, dead = self._min, self._dead
+        key, seq, item = heappop(h)
+        while seq in dead:
+            dead.discard(seq)
+            key, seq, item = heappop(h)
+        self._size -= 1
+        if self._max is not None:
+            dead.add(seq)
+            if len(dead) > 2 * self._size + _SLACK:
+                self._drop_dead()
+        self.metrics.extractions += 1
+        if self._log is not None:
+            self._log.append(("extract", key, seq))
+        return item
+
+    def prune_max(self) -> Any:
+        """Remove and return the item with the largest (key, seq)."""
+        if self._size == 0:
+            raise IndexError("prune_max on an empty pool")
+        h, dead = self._max, self._dead
+        if h is None:
+            h = self._max = [(-key, -seq, item) for key, seq, item in self._min]
+            heapify(h)
+        key, seq, item = heappop(h)
+        while -seq in dead:
+            dead.discard(-seq)
+            key, seq, item = heappop(h)
+        dead.add(-seq)
+        self._size -= 1
+        if len(dead) > 2 * self._size + _SLACK:
+            self._drop_dead()
+        self.metrics.prunes += 1
+        if self._log is not None:
+            self._log.append(("prune", -key, -seq))
+        return item
+
+    def _drop_dead(self) -> None:
+        """Rebuild both heaps from their live entries and clear the dead set."""
+        dead = self._dead
+        self._min = [e for e in self._min if e[1] not in dead]
+        self._max = [e for e in self._max if -e[1] not in dead]
+        heapify(self._min)
+        heapify(self._max)
+        dead.clear()
+
+
+class BudgetAdapter(ReferencePool):
+    """The budget interface over the reference: prune_to pops the largest until len <= m."""
+
+    def prune_to(self, m: int) -> None:
+        while len(self) > m:
+            self.prune_max()
+
+
+# -- enumerators on both pools ----------------------------------------------------
+
+# tie-heavy value lists: all zeros, one repeated value, few distinct values
+_TIED_VALUES = st.one_of(
+    st.lists(st.just(0), min_size=1, max_size=9),
+    st.integers(0, 5).flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=9)),
+    st.lists(st.integers(0, 3), min_size=1, max_size=9),
+)
+# every variant, and dedup once per edge set
+_RUNS = [(v, ShiftKind.INCREMENTAL) for v in Variant if v is not Variant.DEDUP_HEAP] + [
+    (Variant.DEDUP_HEAP, e) for e in (ShiftKind.INCREMENTAL, ShiftKind.MANDATORY_INCREMENTAL,
+                                      ShiftKind.MODIFIED_MANDATORY_INCREMENTAL)
+]
+
+
+def _steps(r, k, variant, edge_set):
+    """Each record with the four counters as they stand right after it."""
+    stream, m = topk(r, k, variant, edge_set=edge_set)
+    return [(item, (m.total_insertions, m.peak_size, m.extractions, m.prunes))
+            for item in stream]
+
+
+@given(_TIED_VALUES.flatmap(
+    lambda vals: st.tuples(st.just(vals), st.integers(1, 2 ** len(vals) + 3))))
+def test_enumerators_match_the_reference_pool(case):
+    vals, k = case
+    r = InputSet.from_values(sorted(vals))
+    for variant, edge_set in _RUNS:
+        got = _steps(r, k, variant, edge_set)
+        with mock.patch.object(enumerators, "BoundedPool", BudgetAdapter):
+            want = _steps(r, k, variant, edge_set)
+        assert got == want, (variant, edge_set)
+
+
+# -- the budget contract ------------------------------------------------------------
 
 
 def test_extract_prune_interleave():
@@ -16,9 +173,10 @@ def test_extract_prune_interleave():
     assert len(pool) == 5
 
     assert pool.extract_min() == "b"  # key 1, inserted before d
-    assert pool.prune_max() == "a"
+    pool.prune_to(3)  # drops a
+    assert len(pool) == 3
     assert pool.extract_min() == "d"
-    assert pool.prune_max() == "c"
+    pool.prune_to(1)  # drops c
     assert pool.extract_min() == "e"
     assert len(pool) == 0
 
@@ -28,25 +186,61 @@ def test_extract_prune_interleave():
 
 def test_empty_raises():
     pool = BoundedPool()
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="empty"):
         pool.extract_min()
-    with pytest.raises(IndexError):
-        pool.prune_max()
     pool.insert("x", 1)
     pool.extract_min()
-    with pytest.raises(IndexError):
-        pool.prune_max()
+    with pytest.raises(IndexError, match="empty"):
+        pool.extract_min()
+    pool.insert("y", 1)
+    pool.prune_to(0)
+    with pytest.raises(IndexError, match="empty"):
+        pool.extract_min()
+
+
+def test_equal_keys_extract_in_insertion_order():
+    pool = BoundedPool()
+    for item in ("first", "second", "third"):
+        pool.insert(item, 7)
+    assert [pool.extract_min() for _ in range(3)] == ["first", "second", "third"]
 
 
 def test_equal_keys_prune_takes_latest():
-    # min side prefers the oldest among equal keys, max side the newest
+    # extraction prefers the oldest among equal keys, pruning drops the newest
     pool = BoundedPool()
     pool.insert("first", 7)
     pool.insert("second", 7)
+    pool.insert("low", 1)
     pool.insert("third", 7)
-    assert pool.prune_max() == "third"
-    assert pool.extract_min() == "first"
-    assert pool.prune_max() == "second"
+    pool.prune_to(2)
+    assert [pool.extract_min(), pool.extract_min()] == ["low", "first"]
+    assert pool.metrics.prunes == 2
+
+
+def test_extract_past_the_budget_raises():
+    pool = BoundedPool()
+    for key in range(5):
+        pool.insert(key, key)
+    pool.prune_to(5)  # nothing to drop, but two extractions at most
+    pool.prune_to(2)
+    assert [pool.extract_min(), pool.extract_min()] == [0, 1]
+    pool.insert(9, 9)
+    with pytest.raises(IndexError, match="budget"):
+        pool.extract_min()
+
+
+def test_raising_the_budget_raises():
+    pool = BoundedPool()
+    for key in range(4):
+        pool.insert(key, key)
+    pool.prune_to(3)
+    pool.extract_min()
+    with pytest.raises(ValueError):
+        pool.prune_to(3)  # two extractions left
+    with pytest.raises(ValueError):
+        pool.prune_to(-1)
+    pool.prune_to(2)
+    assert len(pool) == 2 and pool.metrics.prunes == 1
 
 
 def test_peak_tracks_logical_size():
@@ -58,6 +252,12 @@ def test_peak_tracks_logical_size():
     assert pool.metrics.peak_size == 3
     pool.insert(5, 5)
     assert pool.metrics.peak_size == 4
+    pool.prune_to(1)
+    for key in (6, 7, 8):
+        pool.insert(key, key)  # logical size 4 again: dropped entries do not count
+    assert pool.metrics.peak_size == 4
+    pool.insert(9, 9)
+    assert pool.metrics.peak_size == 5
 
 
 def test_metrics_object_can_be_shared():
@@ -68,98 +268,92 @@ def test_metrics_object_can_be_shared():
     assert pool.metrics is m
 
 
-def test_op_log_replay():
-    log = []
-    pool = BoundedPool(log=log)
-    pool.insert("a", 2)
-    pool.insert("b", 1)
-    pool.extract_min()
-    pool.prune_max()
-    assert log == [
-        ("insert", 2, 0),
-        ("insert", 1, 1),
-        ("extract", 1, 1),
-        ("prune", 2, 0),
-    ]
+def _soup(rng, pool, steps, insert_p, keys):
+    """Random inserts, extractions and budget cuts against a sorted-list model."""
+    model = []  # live (key, seq), kept unsorted on purpose
+    budget = None
+    seq = 0
+    for _ in range(steps):
+        op = rng.random()
+        if op < insert_p or not model:
+            key = rng.randrange(keys)
+            pool.insert((key, seq), key)
+            model.append((key, seq))
+            seq += 1
+        elif op < insert_p + (1 - insert_p) * 0.85 and budget != 0:
+            want = min(model)
+            model.remove(want)
+            assert pool.extract_min() == want
+            if budget is not None:
+                budget -= 1
+        else:
+            m = rng.randrange(min(len(model), budget if budget is not None else len(model)) + 1)
+            pool.prune_to(m)
+            model = sorted(model)[:m]
+            budget = m
+        assert len(pool) == len(model)
+    return model, budget
 
 
 def test_differential_against_sorted_model():
     """Random op soup against a brutally simple model of the same contract."""
     rng = random.Random(0xC0FFEE)
     pool = BoundedPool()
-    model = []  # list of (key, seq) kept unsorted on purpose
-    seq = 0
-    for _ in range(4000):
-        op = rng.random()
-        if op < 0.5 or not model:
-            key = rng.randrange(50)
-            pool.insert((key, seq), key)
-            model.append((key, seq))
-            seq += 1
-        elif op < 0.8:
+    for _ in range(20):
+        model, budget = _soup(rng, pool, 400, 0.55, 50)
+        m = pool.metrics
+        assert len(pool) == m.total_insertions - m.extractions - m.prunes
+        while model and budget:
             want = min(model)
             model.remove(want)
             assert pool.extract_min() == want
-        else:
-            want = max(model)
-            model.remove(want)
-            assert pool.prune_max() == want
-        assert len(pool) == len(model)
-
-    m = pool.metrics
-    assert len(pool) == m.total_insertions - m.extractions - m.prunes
-    assert m.peak_size <= m.total_insertions
-
-    while model:
-        assert pool.extract_min() == min(model)
-        model.remove(min(model))
-    assert len(pool) == 0
+            budget -= 1
+        if model:
+            with pytest.raises(IndexError, match="budget"):
+                pool.extract_min()
+        pool = BoundedPool()
 
 
 def test_differential_with_late_first_prune():
-    """Ties and extractions pile up before the max side exists, then ops mix."""
+    """Ties and extractions pile up before the first budget, then ops mix."""
     rng = random.Random(0xBEEF)
-    log = []
-    pool = BoundedPool(log=log)
-    model = []  # (key, seq)
-    want_log = []
+    pool = BoundedPool()
+    model = []
     seq = 0
-
-    def insert():
-        nonlocal seq
-        key = rng.randrange(8)  # few keys: many ties
-        pool.insert((key, seq), key)
-        model.append((key, seq))
-        want_log.append(("insert", key, seq))
-        seq += 1
-
-    def remove(op, pick):
-        want = pick(model)
-        model.remove(want)
-        got = pool.extract_min() if op == "extract" else pool.prune_max()
-        assert got == want
-        want_log.append((op, *want))
-
     for _ in range(600):
         if rng.random() < 0.6 or not model:
-            insert()
+            key = rng.randrange(8)  # few keys: many ties
+            pool.insert((key, seq), key)
+            model.append((key, seq))
+            seq += 1
         else:
-            remove("extract", min)
+            want = min(model)
+            model.remove(want)
+            assert pool.extract_min() == want
     assert pool.metrics.prunes == 0 and pool.metrics.extractions > 100
+    # continue on the same pool: its seqs are past those the model used
+    budget = len(model) // 2
+    pool.prune_to(budget)
+    model = sorted(model)[:budget]
     for _ in range(3000):
-        op = rng.random()
-        if op < 0.45 or not model:
-            insert()
-        elif op < 0.75:
-            remove("extract", min)
+        if rng.random() < 0.5:
+            key = rng.randrange(8)
+            pool.insert((key, seq), key)
+            model.append((key, seq))
+            seq += 1
+        elif budget and model:
+            want = min(model)
+            model.remove(want)
+            assert pool.extract_min() == want
+            budget -= 1
         else:
-            remove("prune", max)
+            budget = rng.randrange(budget + 1) if budget else 0
+            pool.prune_to(budget)
+            model = sorted(model)[:budget]
         assert len(pool) == len(model)
-    while model:
-        remove(*rng.choice((("extract", min), ("prune", max))))
-    assert log == want_log
     m = pool.metrics
-    assert len(pool) == 0 == m.total_insertions - m.extractions - m.prunes
+    assert m.prunes > 0
+    assert len(pool) == m.total_insertions - m.extractions - m.prunes
 
 
 class _Node:
@@ -170,31 +364,18 @@ class _Node:
 
 
 def test_extracted_items_are_released():
-    """The enumerators' own sequence keeps at most peak_size extracted items alive."""
-    rng = random.Random(7)
-    k = 3000
+    """An extracted item is referenced by nobody but the caller, also after a prune."""
     pool = BoundedPool()
-    pool.insert(_Node(0), 0)
-    extracted = []
-    for q in range(1, k + 1):
-        node = pool.extract_min()
-        extracted.append(weakref.ref(node))
-        if q < k:
-            for _ in range(rng.choice((1, 2, 2))):
-                key = node.key + rng.randrange(4)
-                pool.insert(_Node(key), key)
-            while len(pool) > k - q:
-                pool.prune_max()
-    del node
-    gc.collect()
-    m = pool.metrics
-    assert m.prunes > 0 and m.extractions == k
-    alive = sum(ref() is not None for ref in extracted)
-    assert alive <= m.peak_size < k // 2
+    for key in range(300):
+        pool.insert(_Node(key), key)
+    pool.prune_to(200)
+    for _ in range(200):
+        ref = weakref.ref(pool.extract_min())
+        assert ref() is None
 
 
 def test_pruned_items_are_released():
-    """Under heavy pruning the heaps follow the live size, not the insertions."""
+    """Under heavy pruning the heap follows the budget, not the insertions."""
     rng = random.Random(11)
     k = 400
     pool = BoundedPool()
@@ -207,12 +388,12 @@ def test_pruned_items_are_released():
             child = _Node(key)
             inserted.append(weakref.ref(child))
             pool.insert(child, key)
-        while len(pool) > k - q:
-            pool.prune_max()
+        if len(pool) > k - q:
+            pool.prune_to(k - q)
         if q % 50 == 0:
             del node, child
             gc.collect()
             alive = sum(ref() is not None for ref in inserted)
-            # each heap holds the live entries plus fewer than 2 * live + 64 dead ones
-            assert alive <= 3 * len(pool) + 65
+            # the live entries plus at most live + 64 dropped ones
+            assert alive <= 2 * len(pool) + 65
     assert pool.metrics.prunes > 15 * k
