@@ -151,16 +151,29 @@ def _steps(r, k, variant, edge_set):
             for item in stream]
 
 
-@given(_TIED_VALUES.flatmap(
-    lambda vals: st.tuples(st.just(vals), st.integers(1, 2 ** len(vals) + 3))))
-def test_enumerators_match_the_reference_pool(case):
-    vals, k = case
+def _assert_matches_reference(vals, k):
     r = InputSet.from_values(sorted(vals))
     for variant, edge_set in _RUNS:
         got = _steps(r, k, variant, edge_set)
         with mock.patch.object(enumerators, "BoundedPool", BudgetAdapter):
             want = _steps(r, k, variant, edge_set)
         assert got == want, (variant, edge_set)
+
+
+@given(_TIED_VALUES.flatmap(
+    lambda vals: st.tuples(st.just(vals), st.integers(1, 2 ** len(vals) + 3))))
+def test_enumerators_match_the_reference_pool(case):
+    _assert_matches_reference(*case)
+
+
+# wider runs whose heaps are cut tens of times
+@pytest.mark.parametrize("vals, k", [
+    ([0] * 13, 5000),
+    ([v % 4 for v in range(16)], 4000),
+    (list(range(1, 41)), 3000),
+])
+def test_enumerators_match_the_reference_pool_through_many_cuts(vals, k):
+    _assert_matches_reference(vals, k)
 
 
 # -- the budget contract ------------------------------------------------------------
