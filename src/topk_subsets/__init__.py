@@ -11,7 +11,6 @@ Quick use::
 """
 
 from .core import (
-    BitNode,
     CompactNode,
     Delta,
     InputError,
@@ -33,7 +32,6 @@ from .shifts import EdgeType, ShiftKind
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitNode",
     "BoundedPool",
     "CompactNode",
     "Delta",

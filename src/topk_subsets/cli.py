@@ -260,11 +260,11 @@ def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     node_count = 0
     edge_count = 0
     for node, children in walk_final_dag(args.n):
-        pattern = "".join(map(str, node.bits))
+        pattern = "".join(map(str, node[9]))
         lines.append(f'  "{pattern}";')
         node_count += 1
         for child, edge in children:
-            child_pattern = "".join(map(str, child.bits))
+            child_pattern = "".join(map(str, child[9]))
             lines.append(f'  "{pattern}" -> "{child_pattern}" [label="{edge.value}"];')
             edge_count += 1
     lines.append("}")

@@ -19,7 +19,8 @@ Conventions used throughout the package:
   - ``last_one``: position of the rightmost 1, always in ``[1, n]``.
   - ``second_after_gap``: position of the first 1 strictly after
     ``first_after_gap``, or 0 when there is none or ``first_after_gap``
-    is itself 0.  Only the cursor-only (compact) node form carries it.
+    is itself 0.  Both node forms carry it: a bit-vector node is a
+    :class:`CompactNode` with its pattern (bytes) appended as ``node[9]``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "OverflowRiskError",
     "InputSet",
     "SubsetPositions",
-    "BitNode",
     "CompactNode",
     "Delta",
     "RankedSubset",
@@ -310,22 +310,6 @@ def cursors_from_bits(bits: Bits) -> tuple[int, int, int, int]:
 
 
 # -- node and result records --------------------------------------------------
-
-
-class BitNode(NamedTuple):
-    """Frontier node that carries its full bit pattern.
-
-    Creating a child copies the pattern, so per-node cost is O(n) in both
-    time and space.  Cursors are maintained incrementally and must always
-    equal :func:`cursors_from_bits` of ``bits``.
-    """
-
-    bits: bytes
-    size: int
-    total: Number
-    first_after_gap: int
-    prefix_end: int
-    last_one: int
 
 
 class CompactNode(NamedTuple):

@@ -24,8 +24,8 @@ budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
     candidates reached twice.
 
 ``bitvec``
-    The final one-parent DAG over full bit patterns: O(n) per child to
-    copy the pattern and per emission to decode positions.
+    The final one-parent DAG over full bit patterns: the ``compact`` rule
+    plus an O(n) pattern copy per child and an O(n) decode per emission.
 
 ``compact``
     The same walk in cursor-only form: O(1) state per node, no pattern.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (Delta, InputSet, RankedSubset, SubsetPositions, mask_from_positions,
@@ -103,10 +103,6 @@ def _dedup_successors(edge_set: ShiftKind, n: int):
     return successors
 
 
-def _bitvec_successors(node, r: InputSet, rank: int) -> list:
-    return [child for child, _ in final_dag_children(node, r)]
-
-
 # records skip the Python-level NamedTuple __new__, which costs as much as the successor call
 _new = tuple.__new__
 
@@ -116,7 +112,8 @@ def _positions_record(rank: int, node: tuple) -> RankedSubset:
 
 
 def _bitvec_record(rank: int, node) -> RankedSubset:
-    return _new(RankedSubset, (rank, node.total, positions_from_bits(node.bits), None))
+    # node[9] is the pattern a bit-vector node appends to its compact fields
+    return _new(RankedSubset, (rank, node[5], positions_from_bits(node[9]), None))
 
 
 def _delta_record(rank: int, node) -> RankedSubset:
@@ -188,7 +185,7 @@ def topk(
         return _best_first(r, k_eff, ((1,), r.values[0]), _dedup_successors(edge_set, n),
                            _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:
-        return _best_first(r, k_eff, bit_root(r), _bitvec_successors, _bitvec_record,
-                           attrgetter("total"))
+        return _best_first(r, k_eff, bit_root(r), final_dag_children, _bitvec_record,
+                           itemgetter(5))
     return _best_first(r, k_eff, compact_root(r), compact_children, _delta_record,
                        itemgetter(5))

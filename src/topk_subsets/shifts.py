@@ -8,13 +8,12 @@ which every non-root subset has exactly one parent and every node has at
 most two children.  Walking that DAG best-first enumerates subsets in
 non-decreasing sum order without any duplicate suppression.
 
-Successor rules come in two equivalent forms:
-
-* :func:`final_dag_children` on :class:`BitNode` mutates a copied bit
-  pattern, O(n) per child.
-* :func:`compact_children` on :class:`CompactNode` updates the cursor
-  quadruple only, O(1) per child, emitting a (removed, added) delta
-  instead of a pattern.
+There is one successor rule, :func:`compact_children`: it updates the
+cursor quadruple of a :class:`CompactNode` in O(1) per child and emits a
+(removed, added) delta instead of a pattern.  The bit-vector form is a
+compact node with its pattern appended: :func:`final_dag_children` runs
+the same rule and patches a copy of the parent's pattern with each
+child's delta, O(n) per child.
 
 The edge names match the DOT export: ``Type1`` moves the first 1 after
 the leading zero run one step right, ``Type2`` moves the last 1 of the
@@ -28,27 +27,17 @@ from collections import deque
 from enum import Enum
 from typing import Iterator
 
-from .core import (
-    BitNode,
-    CompactNode,
-    InputSet,
-    SubsetPositions,
-    cursors_from_bits,
-    positions_from_bits,
-)
+from .core import CompactNode, InputSet, SubsetPositions, cursors_from_bits, positions_from_bits
 
 __all__ = [
     "ShiftKind",
     "EdgeType",
     "incremental_children_all",
     "mandatory_static_children",
-    "bit_root",
     "compact_root",
-    "type1_child",
-    "type2_child",
-    "growth_child",
-    "final_dag_children",
     "compact_children",
+    "bit_root",
+    "final_dag_children",
     "walk_final_dag",
     "final_dag_report",
 ]
@@ -128,88 +117,7 @@ def mandatory_static_children(
     return out
 
 
-# -- successor rules on bit-pattern nodes --------------------------------------
-
-
-def bit_root(r: InputSet) -> BitNode:
-    """The singleton {1}: pattern 10..0, cursors (0, 1, 1)."""
-    bits = bytes([1]) + bytes(r.n - 1)
-    return BitNode(bits, 1, r.values[0], 0, 1, 1)
-
-
-def type1_child(node: BitNode, r: InputSet) -> "BitNode | None":
-    """Move the first 1 after the leading zero run one step right.
-
-    Exists when that 1 is at position 2..n-1 and its right neighbour is 0.
-    The last_one cursor follows the moved bit when they coincide.
-    """
-    fag = node.first_after_gap
-    bits = node.bits
-    if not 1 < fag < len(bits) or bits[fag]:
-        return None
-    b = bytearray(bits)
-    b[fag - 1] = 0
-    b[fag] = 1
-    last = node.last_one + 1 if node.last_one == fag else node.last_one
-    total = node.total - r.values[fag - 1] + r.values[fag]
-    return BitNode(bytes(b), node.size, total, fag + 1, node.prefix_end, last)
-
-
-def type2_child(node: BitNode, r: InputSet) -> "BitNode | None":
-    """Move the last 1 of the leading one run one step right.
-
-    Exists when the run ends at position 1..n-1; the landing bit is 0 by
-    run maximality.  The moved bit becomes the new first_after_gap and
-    the leading run shrinks by one.
-    """
-    pe = node.prefix_end
-    if not 1 <= pe < len(node.bits):
-        return None
-    b = bytearray(node.bits)
-    b[pe - 1] = 0
-    b[pe] = 1
-    last = pe + 1 if node.last_one == pe else node.last_one
-    total = node.total - r.values[pe - 1] + r.values[pe]
-    return BitNode(bytes(b), node.size, total, pe + 1, pe - 1, last)
-
-
-def growth_child(node: BitNode, r: InputSet) -> "BitNode | None":
-    """Set position 1 on a pattern of the shape 01..10..0.
-
-    The shape test is pure cursor arithmetic: first_after_gap is 2, the
-    pattern starts with 0, and the single one run ends at size + 1.  The
-    child is the root of the next subset-size layer and this is its only
-    incoming edge in the final DAG.
-    """
-    if not (
-        node.first_after_gap == 2
-        and node.prefix_end == 0
-        and node.last_one == node.size + 1
-    ):
-        return None
-    b = bytearray(node.bits)
-    b[0] = 1
-    return BitNode(
-        bytes(b), node.size + 1, node.total + r.values[0], 0, node.last_one, node.last_one
-    )
-
-
-def final_dag_children(node: BitNode, r: InputSet) -> list[tuple[BitNode, EdgeType]]:
-    """All children of node in the final DAG, at most two, in Type1, Type2, Incr order."""
-    out = []
-    child = type1_child(node, r)
-    if child is not None:
-        out.append((child, EdgeType.TYPE1))
-    child = type2_child(node, r)
-    if child is not None:
-        out.append((child, EdgeType.TYPE2))
-    child = growth_child(node, r)
-    if child is not None:
-        out.append((child, EdgeType.INCREMENTAL))
-    return out
-
-
-# -- successor rules on cursor-only nodes --------------------------------------
+# -- the successor rule --------------------------------------------------------
 
 
 def compact_root(r: InputSet) -> CompactNode:
@@ -222,16 +130,16 @@ _new = tuple.__new__
 
 
 def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[CompactNode]:
-    """Cursor-only form of :func:`final_dag_children`, as bare nodes.
+    """The children of node in the final DAG, at most two, in Type1, Type2, Incr order.
 
-    The Type1 neighbour test B[first_after_gap + 1] == 0 becomes
-    ``second_after_gap != first_after_gap + 1``; everything else is the
-    same arithmetic without the pattern.  second_after_gap survives a
-    Type1 move unchanged, becomes the parent's first_after_gap after a
-    Type2 move, and resets to 0 on growth (first_after_gap becomes 0).
-    ``parent_rank`` is stamped into each child's delta.  The edge kind is
-    read off the delta: growth removes nothing, Type2 removes the parent's
-    prefix_end, Type1 its first_after_gap.
+    Type1 moves first_after_gap (at 2..n-1) right onto a free slot, seen
+    as ``second_after_gap != first_after_gap + 1``.  Type2 moves
+    prefix_end (at 1..n-1) right; the slot is free by run maximality, and
+    the old first_after_gap becomes second_after_gap.  Incr sets position
+    1 on a pattern 01..10..0, the only edge into the next size layer.
+    ``parent_rank`` is stamped into each child's delta, which names the
+    edge: Incr removes nothing, Type1 the parent's first_after_gap, Type2
+    its prefix_end.
     """
     # one unpack instead of repeated field gets: this runs once per extraction
     fag, pe, last, sag, size, total = node[:6]
@@ -257,89 +165,100 @@ def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[C
     return out
 
 
+# -- bit-vector nodes: a compact node plus its pattern --------------------------
+
+
+def bit_root(r: InputSet) -> tuple:
+    """:func:`compact_root` with the pattern 10..0 appended as ``node[9]``."""
+    return compact_root(r) + (bytes([1]) + bytes(r.n - 1),)
+
+
+def final_dag_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple]:
+    """:func:`compact_children` of a bit-vector node, each with its own pattern.
+
+    A child's pattern is a copy of the parent's ``node[9]`` patched with
+    the child's (removed, added) delta: O(n) per child.
+    """
+    pattern = node[9]
+    out = []
+    for child in compact_children(node, r, parent_rank):
+        b = bytearray(pattern)
+        if child[7] is not None:
+            b[child[7] - 1] = 0
+        b[child[8] - 1] = 1
+        out.append(child + (bytes(b),))
+    return out
+
+
 # -- structural checkers --------------------------------------------------------
 
 
 def walk_final_dag(
     n: int, r: "InputSet | None" = None
-) -> Iterator[tuple[BitNode, list[tuple[BitNode, EdgeType]]]]:
+) -> Iterator[tuple[tuple, list[tuple[tuple, EdgeType]]]]:
     """Breadth-first walk of the whole final DAG from the root {1}.
 
-    Yields each node once together with its child list.  With the
-    one-parent property intact the walk visits all 2**n - 1 subsets; the
-    walk itself does not deduplicate, so a broken rule set shows up as
-    repeated or missing patterns in :func:`final_dag_report`.
+    Yields each bit-vector node once together with its (child, edge)
+    list, the edge read off the child's delta.  With the one-parent
+    property intact the walk visits all 2**n - 1 subsets; the walk itself
+    does not deduplicate, so a broken rule shows up as repeated or
+    missing patterns in :func:`final_dag_report`.
     """
     if r is None:
         r = InputSet.from_values(range(1, n + 1))
     queue = deque([bit_root(r)])
     while queue:
         node = queue.popleft()
-        children = final_dag_children(node, r)
-        yield node, children
-        queue.extend(child for child, _ in children)
+        children = final_dag_children(node, r, 0)
+        yield node, [(c, EdgeType.INCREMENTAL if c[7] is None else
+                      EdgeType.TYPE1 if c[7] == node[0] else EdgeType.TYPE2) for c in children]
+        queue.extend(children)
 
 
 def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
     """Check every structural invariant of the final DAG at width n.
 
-    Returns a list of problem descriptions, empty when all hold: at most
-    two children per node, every subset generated exactly once, full
-    coverage of all 2**n - 1 subsets, incrementally maintained cursors of
-    both node forms equal to the from-scratch recomputation, compact
-    deltas (removed, added) equal to the bit difference between parent and
-    child patterns, and non-decreasing sums along edges.
-    Runs the bit-pattern and cursor-only walks side by side.
+    Returns a list of problem descriptions, empty when all hold.  Each
+    node of :func:`walk_final_dag` is checked against definitions that do
+    not use the rule: its cursors against :func:`cursors_from_bits`, its
+    size and total against the decoded positions, and its (child, edge)
+    list against the position-level rule, the mandatory static children
+    plus (1,) + s when s is (2, ..., |s| + 1) and |s| < n.  Sums must not
+    decrease along an edge, each subset must be generated once, and all
+    2**n - 1 must be covered.  Stops after 20 problems or 2**n nodes, so
+    a broken rule cannot loop.
     """
     if r is None:
         r = InputSet.from_values(range(1, n + 1))
     problems: list[str] = []
-    seen: set[bytes] = set()
-    root_b = bit_root(r)
-    root_c = compact_root(r)
-    seen.add(root_b.bits)
-    queue: deque[tuple[BitNode, CompactNode]] = deque([(root_b, root_c)])
-    while queue and len(problems) < 20:
-        bnode, cnode = queue.popleft()
-        pattern = "".join(map(str, bnode.bits))
-        quad = cursors_from_bits(bnode.bits)
-        if (bnode.first_after_gap, bnode.prefix_end, bnode.last_one) != quad[:3]:
-            problems.append(f"{pattern}: bit cursors diverge from recomputation {quad[:3]}")
-        cquad = (
-            cnode.first_after_gap,
-            cnode.prefix_end,
-            cnode.last_one,
-            cnode.second_after_gap,
-        )
-        if cquad != quad:
-            problems.append(f"{pattern}: compact cursors {cquad} != recomputed {quad}")
-        if bnode.size != len(positions_from_bits(bnode.bits)) or bnode.size != cnode.size:
+    seen = {bit_root(r)[9]}
+    for count, (node, children) in enumerate(walk_final_dag(n, r), 1):
+        bits = node[9]
+        pattern = "".join(map(str, bits))
+        quad = cursors_from_bits(bits)
+        if node[:4] != quad:
+            problems.append(f"{pattern}: cursors {node[:4]} != recomputed {quad}")
+        s = positions_from_bits(bits)
+        if node[4] != len(s):
             problems.append(f"{pattern}: size field out of step")
-        if bnode.total != sum(r.values[p - 1] for p in positions_from_bits(bnode.bits)):
+        if node[5] != sum(r.values[p - 1] for p in s):
             problems.append(f"{pattern}: stored total diverges from direct sum")
-        bkids = final_dag_children(bnode, r)
-        ckids = compact_children(cnode, r, parent_rank=0)
-        if len(bkids) > 2:
-            problems.append(f"{pattern}: {len(bkids)} children, more than two")
-        if len(bkids) != len(ckids):
-            problems.append(f"{pattern}: child counts differ between node forms")
-            continue
-        for (bchild, edge), cchild in zip(bkids, ckids):
-            gone = [p for p, (a, b) in enumerate(zip(bnode.bits, bchild.bits), 1) if a > b]
-            new = [p for p, (a, b) in enumerate(zip(bnode.bits, bchild.bits), 1) if a < b]
-            if (gone or [None], new or [None]) != ([cchild.removed], [cchild.added]):
-                problems.append(f"{pattern} -{edge.value}-> compact delta != bits {gone} {new}")
-            if bchild.total != cchild.total:
-                problems.append(f"{pattern} -{edge.value}-> totals differ between forms")
-            if bchild.total < bnode.total:
+        want = [(t, edge.value) for t, edge in mandatory_static_children(s, n)]
+        if s == tuple(range(2, len(s) + 2)) and len(s) < n:
+            want.append(((1,) + s, EdgeType.INCREMENTAL.value))
+        got = [(positions_from_bits(c[9]), edge.value) for c, edge in children]
+        if got != want:
+            problems.append(f"{pattern}: children {got} != position rule {want}")
+        for child, edge in children:
+            if child[5] < node[5]:
                 problems.append(f"{pattern} -{edge.value}-> sum decreases")
-            if bchild.bits in seen:
+            if child[9] in seen:
                 problems.append(
-                    f"{''.join(map(str, bchild.bits))} generated twice (second parent {pattern})"
+                    f"{''.join(map(str, child[9]))} generated twice (second parent {pattern})"
                 )
-                continue
-            seen.add(bchild.bits)
-            queue.append((bchild, cchild))
+            seen.add(child[9])
+        if len(problems) >= 20 or count >= 1 << n:
+            break
     expected = (1 << n) - 1
     if len(seen) != expected and not problems:
         problems.append(f"covered {len(seen)} subsets, expected {expected}")

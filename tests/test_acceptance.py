@@ -114,7 +114,7 @@ def test_2_dag_structure_exhaustive():
             for child, _ in children:
                 child_masks.append(
                     mask_from_positions(
-                        tuple(i for i, b in enumerate(child.bits, 1) if b)
+                        tuple(i for i, b in enumerate(child[9], 1) if b)
                     )
                 )
         assert node_count == 2**n - 1

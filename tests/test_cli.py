@@ -1,6 +1,7 @@
 """End-to-end CLI behavior, mostly through in-process main() calls."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -120,6 +121,15 @@ class TestTopkCommand:
             capsys,
         )
         assert out.splitlines() == ["1\t1", "2\t2", "3\t3"]
+
+    def test_start_up_loads_no_helper_only_modules(self):
+        # verify, bench and the oracle's callers import these on call; topk's start-up does not
+        src = os.path.dirname(os.path.dirname(topk_subsets.__file__))
+        code = "import sys, topk_subsets.cli; print(sorted(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        loaded = set(eval(out.stdout))
+        assert loaded & {"csv", "decimal", "fractions", "statistics"} == set()
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # as `topk ... | head -2`: the reader leaves long before the k-th line
@@ -275,9 +285,15 @@ class TestVerifyCommand:
 
     def test_detects_broken_shift_rule(self, capsys, monkeypatch):
         # disable one move type: the walk loses nodes and the sums drift
-        monkeypatch.setattr(
-            "topk_subsets.shifts.type2_child", lambda node, r: None
-        )
+        import topk_subsets.shifts as shifts
+
+        real = shifts.compact_children
+
+        def no_type2(node, r, parent_rank):
+            # Type2 removes the parent's prefix_end, never its first_after_gap
+            return [c for c in real(node, r, parent_rank) if c.removed in (None, node[0])]
+
+        monkeypatch.setattr(shifts, "compact_children", no_type2)
         code = main(["verify", "--n-max", "4", "--seeds", "1", "--algos", "bitvec"])
         out, err = capsys.readouterr()
         assert code == 1
@@ -326,6 +342,17 @@ class TestDagCommand:
         assert text.startswith("digraph topk_subsets {")
         assert '"1010" -> "1001" [label="Type1"];' in text
         assert text.rstrip().endswith("}")
+
+    @pytest.mark.parametrize("n, digest", [
+        (4, "8ebfa9ab0620f2d1a85641987e197c49525fb45e4df537af861dcd3e6085b360"),
+        (8, "925036c1791c2b1caf0df635b2d932bb800257561c94fe18e0bfedc3cb8233b2"),
+        (10, "b6d971c9a8a98ab3ce2df5046eb4b45c3f41d47d524360e5fc02fc0579a3ee3c"),
+    ])
+    def test_export_bytes_pinned(self, tmp_path, capsys, n, digest):
+        # nodes, edges, their order and labels: any change to the walk shows here
+        dot = tmp_path / f"n{n}.dot"
+        run_ok(["dag", "--n", str(n), "--dot", str(dot)], capsys)
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
 
     def test_single_node(self, tmp_path, capsys):
         dot = tmp_path / "n1.dot"

@@ -1,6 +1,7 @@
 """Brute-force reference checked against a second, combinatorial brute force."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -81,3 +82,33 @@ def test_matches_combinatorial_reference(values):
     assert rows == _combi_reference(r)
     assert len(rows) == 2**r.n - 1
     assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
+
+
+def _fraction_reference(r: InputSet):
+    """Exact sums as Fractions, sorted with ties broken by positions."""
+    idx = range(1, r.n + 1)
+    out = [
+        (sum(Fraction(r.values[p - 1]) for p in combo), combo)
+        for size in idx
+        for combo in itertools.combinations(idx, size)
+    ]
+    out.sort()
+    return out
+
+
+def _assert_exact(r: InputSet):
+    rows = all_subsets_sorted(r)
+    want = _fraction_reference(r)
+    assert [p for _, p in rows] == [p for _, p in want]
+    assert [s for s, _ in rows] == [float(s) for s, _ in want]
+    assert all(type(s) is float for s, _ in rows)
+
+
+def test_float_mode_is_exact():
+    # plain float addition misorders 12 of these 31 ranks
+    _assert_exact(InputSet.from_values((6, 9e16, 8e-8, 1e-8, 2e-8), mode="float"))
+
+
+@given(st.lists(st.floats(0, 1e300), min_size=1, max_size=6))
+def test_float_mode_matches_fraction_reference(values):
+    _assert_exact(InputSet.from_values(values, mode="float"))

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import topk_subsets.shifts as shifts
 from topk_subsets.core import (
-    BitNode,
     InputSet,
     SubsetPositions,
     cursors_from_bits,
@@ -28,11 +27,8 @@ from topk_subsets.shifts import (
     compact_root,
     final_dag_children,
     final_dag_report,
-    growth_child,
     incremental_children_all,
     mandatory_static_children,
-    type1_child,
-    type2_child,
     walk_final_dag,
 )
 
@@ -200,46 +196,59 @@ class TestBitRules:
     R4 = InputSet.from_values((1, 2, 3, 4))
 
     @staticmethod
-    def node(pattern: str, r: InputSet) -> BitNode:
+    def node(pattern: str, r: InputSet) -> tuple:
+        """A bit-vector node: compact fields, a blank delta, then the pattern."""
         bits = bytes(int(c) for c in pattern)
-        fag, pe, last, _ = cursors_from_bits(bits)
         total = sum(r.values[i] for i, b in enumerate(bits) if b)
-        return BitNode(bits, sum(bits), total, fag, pe, last)
+        return cursors_from_bits(bits) + (sum(bits), total, None, None, None, bits)
+
+    @staticmethod
+    def edge(node: tuple, child: tuple) -> EdgeType:
+        """The move a child's delta records, named as in the DOT export."""
+        if child[7] is None:
+            return EdgeType.INCREMENTAL
+        return EdgeType.TYPE1 if child[7] == node[0] else EdgeType.TYPE2
+
+    def child(self, pattern: str, edge: EdgeType) -> "tuple | None":
+        node = self.node(pattern, self.R4)
+        kids = [c for c in final_dag_children(node, self.R4, 0) if self.edge(node, c) is edge]
+        assert len(kids) <= 1
+        return kids[0] if kids else None
 
     def test_root(self):
         root = bit_root(self.R4)
-        assert root == BitNode(b"\x01\x00\x00\x00", 1, 1, 0, 1, 1)
+        assert root == (0, 1, 1, 0, 1, 1, None, None, 1, b"\x01\x00\x00\x00")
 
     def test_type1_moves_first_one_after_gap(self):
-        child = type1_child(self.node("1010", self.R4), self.R4)
-        assert child.bits == b"\x01\x00\x00\x01"
-        assert (child.first_after_gap, child.prefix_end, child.last_one) == (4, 1, 4)
-        assert child.total == 5
+        child = self.child("1010", EdgeType.TYPE1)
+        assert child[9] == b"\x01\x00\x00\x01"
+        assert child[:3] == (4, 1, 4)
+        assert child[5] == 5
 
     def test_type1_blocked_by_neighbour_or_edge(self):
-        assert type1_child(self.node("0110", self.R4), self.R4) is None
-        assert type1_child(self.node("0001", self.R4), self.R4) is None
-        assert type1_child(self.node("1100", self.R4), self.R4) is None  # no gap one
+        assert self.child("0110", EdgeType.TYPE1) is None
+        assert self.child("0001", EdgeType.TYPE1) is None
+        assert self.child("1100", EdgeType.TYPE1) is None  # no gap one
 
     def test_type2_shrinks_leading_run(self):
-        child = type2_child(self.node("1100", self.R4), self.R4)
-        assert child.bits == b"\x01\x00\x01\x00"
-        assert (child.first_after_gap, child.prefix_end, child.last_one) == (3, 1, 3)
-        assert child.total == 4
+        child = self.child("1100", EdgeType.TYPE2)
+        assert child[9] == b"\x01\x00\x01\x00"
+        assert child[:3] == (3, 1, 3)
+        assert child[5] == 4
 
     def test_type2_needs_leading_run_with_room(self):
-        assert type2_child(self.node("0110", self.R4), self.R4) is None
-        assert type2_child(self.node("1111", self.R4), self.R4) is None
+        assert self.child("0110", EdgeType.TYPE2) is None
+        assert self.child("1111", EdgeType.TYPE2) is None
 
     def test_growth_fills_position_one(self):
-        child = growth_child(self.node("0110", self.R4), self.R4)
-        assert child.bits == b"\x01\x01\x01\x00"
-        assert child.size == 3 and child.total == 6
-        assert (child.first_after_gap, child.prefix_end, child.last_one) == (0, 3, 3)
+        child = self.child("0110", EdgeType.INCREMENTAL)
+        assert child[9] == b"\x01\x01\x01\x00"
+        assert child[4] == 3 and child[5] == 6
+        assert child[:3] == (0, 3, 3)
 
     def test_growth_requires_block_pattern(self):
-        assert growth_child(self.node("1100", self.R4), self.R4) is None
-        assert growth_child(self.node("0101", self.R4), self.R4) is None
+        assert self.child("1100", EdgeType.INCREMENTAL) is None
+        assert self.child("0101", EdgeType.INCREMENTAL) is None
 
     @given(st.integers(2, 24), st.data())
     def test_children_keep_invariants(self, n, data):
@@ -247,21 +256,17 @@ class TestBitRules:
         r = InputSet.from_values(range(1, n + 1))
         bits = bytes((mask >> i) & 1 for i in range(n))
         node = self.node("".join(map(str, bits)), r)
-        children = final_dag_children(node, r)
+        children = final_dag_children(node, r, 7)
         assert len(children) <= 2
-        for child, edge in children:
-            fag, pe, last, _ = cursors_from_bits(child.bits)
-            assert (child.first_after_gap, child.prefix_end, child.last_one) == (
-                fag,
-                pe,
-                last,
-            )
-            decoded = positions_from_bits(child.bits)
-            assert child.size == len(decoded)
-            assert child.total == sum(r.values[p - 1] for p in decoded)
-            assert child.total >= node.total
-            grew = edge is EdgeType.INCREMENTAL
-            assert child.size == node.size + (1 if grew else 0)
+        for child in children:
+            assert child[:4] == cursors_from_bits(child[9])
+            decoded = positions_from_bits(child[9])
+            assert child[4] == len(decoded)
+            assert child[5] == sum(r.values[p - 1] for p in decoded)
+            assert child[5] >= node[5]
+            assert child[6] == 7
+            grew = self.edge(node, child) is EdgeType.INCREMENTAL
+            assert child[4] == node[4] + (1 if grew else 0)
 
 
 class TestCompactForm:
@@ -310,7 +315,43 @@ def test_final_dag_report_checks_compact_deltas(monkeypatch):
     monkeypatch.setattr(shifts, "compact_children", skewed)
     problems = final_dag_report(4)
     assert problems
-    assert "compact delta" in problems[0]
+    assert "!= position rule" in problems[0]
+
+
+def test_final_dag_report_checks_dropped_children(monkeypatch):
+    real = shifts.compact_children
+
+    def no_type2(node, r, parent_rank):
+        # Type2 removes the parent's prefix_end, never its first_after_gap
+        return [c for c in real(node, r, parent_rank) if c.removed in (None, node[0])]
+
+    monkeypatch.setattr(shifts, "compact_children", no_type2)
+    assert final_dag_report(4) == ["1000: children [] != position rule [((2,), 'Type2')]"]
+
+
+def test_final_dag_report_checks_child_totals(monkeypatch):
+    real = shifts.compact_children
+
+    def heavy(node, r, parent_rank):
+        return [c._replace(total=c.total + 1) for c in real(node, r, parent_rank)]
+
+    monkeypatch.setattr(shifts, "compact_children", heavy)
+    assert final_dag_report(4)[0] == "0100: stored total diverges from direct sum"
+
+
+def test_final_dag_report_stops_on_a_cycle(monkeypatch):
+    real = shifts.final_dag_children
+
+    def looping(node, r, parent_rank):
+        return real(node, r, parent_rank) + [node]  # every node is its own child
+
+    monkeypatch.setattr(shifts, "final_dag_children", looping)
+    problems = final_dag_report(3)
+    # the root's own delta adds position 1 and removes nothing, so it reads as Incr
+    assert problems[0] == (
+        "100: children [((2,), 'Type2'), ((1,), 'Incr')] != position rule [((2,), 'Type2')]"
+    )
+    assert "100 generated twice (second parent 100)" in problems
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -323,13 +364,13 @@ def test_bit_edges_agree_with_position_generators(n):
     """Every DAG edge is one the position-level generators also produce."""
     r = InputSet.from_values(range(1, n + 1))
     for node, children in walk_final_dag(n, r):
-        s = positions_from_bits(node.bits)
+        s = positions_from_bits(node[9])
         static = mandatory_static_children(s, n)
         grown = incremental_children_all(
             s, n, ShiftKind.MODIFIED_MANDATORY_INCREMENTAL
         )
         for child, edge in children:
-            t = positions_from_bits(child.bits)
+            t = positions_from_bits(child[9])
             if edge is EdgeType.INCREMENTAL:
                 assert t in grown
             else:
