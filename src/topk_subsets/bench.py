@@ -17,39 +17,33 @@ is the contract here, not statistical perfection.
 
 Timing is the enumerator's own elapsed_ns, from the stream's first
 ``next()`` to its end.  It includes the consumer's time between yields,
-which in :func:`run_matrix` is an empty loop; instance generation and CSV
-formatting stay outside the clock.  Repetition rows share one instance,
-so medians can be taken per (n, k, variant) cell downstream.
+which in :func:`run_matrix` is an empty loop; instance generation stays
+outside the clock.  Repetitions interleave: each one times every cell once,
+in grid order and then reversed, so a drift of the machine's speed reaches
+every cell alike instead of the cells timed during it.
 """
 
 from __future__ import annotations
 
-import csv
 import statistics
-from dataclasses import astuple, dataclass
-from typing import IO, Iterable, Iterator, Union
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import InputSet
 from .enumerators import Variant, topk
 
 __all__ = [
     "UniformInteger",
-    "BenchConfig",
-    "BenchRow",
-    "CSV_HEADER",
+    "Cell",
     "splitmix64_stream",
     "gen_instance",
     "run_matrix",
-    "emit_csv",
-    "median_cells",
 ]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-CSV_HEADER = "n,k,variant,seed,elapsed_ns,total_insertions,peak_size,reported_count"
 
 
 def splitmix64_stream(seed: int) -> Iterator[int]:
@@ -89,111 +83,50 @@ def gen_instance(
     return InputSet.from_values(values, mode)
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    n_list: tuple
-    k_list: tuple
-    variants: tuple
-    seed: int
-    distribution: UniformInteger = UniformInteger(1, 10**6)
-    repetitions: int = 1
+class Cell(NamedTuple):
+    """One (n, k, variant) cell: median time over its repetitions, and space.
 
-    def __post_init__(self) -> None:
-        if not self.n_list or min(self.n_list) < 1:
-            raise ValueError("n_list must be non-empty with n >= 1")
-        if not self.k_list or min(self.k_list) < 1:
-            raise ValueError("k_list must be non-empty with k >= 1")
-        if not self.variants:
-            raise ValueError("variants must be non-empty")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """One timed run; mirrors RunMetrics plus the cell coordinates."""
+    The counters are those of one run; every repetition of a cell walks the
+    same instance and so reports the same counts.
+    """
 
     n: int
     k: int
     variant: str
-    seed: int
     elapsed_ns: int
+    reps: int
     total_insertions: int
     peak_size: int
-    reported_count: int
+    extractions: int
 
 
-def run_matrix(cfg: BenchConfig) -> list[BenchRow]:
-    """Run every (n, k, variant) cell, repetitions times each.
+def run_matrix(
+    n_list: Sequence[int], k_list: Sequence[int], variants: Sequence, seed: int, reps: int
+) -> list[Cell]:
+    """Time every (n, k, variant) cell reps times; one :class:`Cell` each.
 
-    All variants at one n share the same instance, so rows are directly
-    comparable.  Rows come back in deterministic loop order.
+    All variants at one n share the instance ``gen_instance(n, seed)`` on
+    values in [1, 10**6].  Repetition i times every cell once, in grid
+    order for even i and in reverse for odd i.  Cells come back in grid
+    order (n, then k, then variant, as listed); a repeated list entry
+    names the same cell.
     """
-    rows: list[BenchRow] = []
-    for n in cfg.n_list:
-        instance = gen_instance(n, cfg.seed, cfg.distribution)
-        for k in cfg.k_list:
-            for variant in cfg.variants:
-                variant = Variant(variant)
-                for _ in range(cfg.repetitions):
-                    stream, metrics = topk(instance, k, variant)
-                    for _ in stream:
-                        pass
-                    rows.append(
-                        BenchRow(
-                            n=n,
-                            k=k,
-                            variant=variant.value,
-                            seed=cfg.seed,
-                            elapsed_ns=metrics.elapsed_ns,
-                            total_insertions=metrics.total_insertions,
-                            peak_size=metrics.peak_size,
-                            reported_count=metrics.extractions,
-                        )
-                    )
-    return rows
-
-
-def emit_csv(rows: Iterable[BenchRow], out: Union[str, IO[str]]) -> None:
-    """Write rows sorted by (n, k, variant, seed) under the fixed header.
-
-    Ties (repetitions of one cell) fall back to the remaining fields, so
-    the bytes written depend only on the multiset of rows: "\\n" line
-    ends, no quoting needed for any field.
-    """
-    ordered = sorted(rows, key=astuple)  # field order matches the header
-    close = False
-    if isinstance(out, str):
-        out = open(out, "w", encoding="ascii", newline="")
-        close = True
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in ordered:
-            writer.writerow(
-                [
-                    row.n,
-                    row.k,
-                    row.variant,
-                    row.seed,
-                    row.elapsed_ns,
-                    row.total_insertions,
-                    row.peak_size,
-                    row.reported_count,
-                ]
-            )
-    finally:
-        if close:
-            out.close()
-
-
-def median_cells(rows: Iterable[BenchRow]) -> list[tuple[int, int, str, int, int]]:
-    """Median elapsed_ns per (n, k, variant) cell, sorted; last field is reps."""
-    cells: dict[tuple[int, int, str], list[int]] = {}
-    for row in rows:
-        cells.setdefault((row.n, row.k, row.variant), []).append(row.elapsed_ns)
-    out = []
-    for (n, k, variant), timings in sorted(cells.items()):
-        med = int(statistics.median(timings))
-        out.append((n, k, variant, med, len(timings)))
-    return out
+    dist = UniformInteger(1, 10**6)
+    instances = {n: gen_instance(n, seed, dist) for n in n_list}
+    grid = list(dict.fromkeys(
+        (n, k, Variant(v)) for n in n_list for k in k_list for v in variants))
+    times = {cell: [] for cell in grid}
+    counts = {}
+    for rep in range(reps):
+        for cell in grid if rep % 2 == 0 else reversed(grid):
+            n, k, variant = cell
+            stream, metrics = topk(instances[n], k, variant)
+            for _ in stream:
+                pass
+            times[cell].append(metrics.elapsed_ns)
+            counts[cell] = (metrics.total_insertions, metrics.peak_size, metrics.extractions)
+    return [
+        Cell(n, k, variant.value, int(statistics.median(times[n, k, variant])), reps,
+             *counts[n, k, variant])
+        for n, k, variant in grid
+    ]

@@ -46,6 +46,8 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("empty list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"values must be >= 1, got {min(values)}")
     return values
 
 
@@ -76,13 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-set", choices=sorted(_EDGE_SETS), default="incr")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="timed metric runs over an (n, k, algo) grid")
+    p = sub.add_parser("bench", help="time and space of each cell of an (n, k, algo) grid")
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--k-list", type=_int_list, required=True)
     p.add_argument("--algos", type=str, default="baseline,compact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=_positive_int, default=1)
-    p.add_argument("--csv", metavar="FILE", required=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dag", help="export the full successor DAG as DOT")
@@ -174,7 +175,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-# verify and bench import their helpers on call: csv and statistics are not loaded for topk
+# verify and bench import their helpers on call: statistics is not loaded for topk
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .bench import UniformInteger, gen_instance
     from .oracle import all_subsets_sorted
@@ -234,22 +235,14 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .bench import BenchConfig, emit_csv, median_cells, run_matrix
+    from .bench import run_matrix
 
     variants = _parse_algos(parser, args.algos)
-    cfg = BenchConfig(
-        n_list=args.n_list,
-        k_list=args.k_list,
-        variants=tuple(variants),
-        seed=args.seed,
-        repetitions=args.reps,
-    )
-    rows = run_matrix(cfg)
-    emit_csv(rows, args.csv)
-    print(f"{len(rows)} rows -> {args.csv}")
-    print(f"{'n':>6} {'k':>9} {'variant':<10} {'median_ns':>14} reps")
-    for n, k, variant, med, reps in median_cells(rows):
-        print(f"{n:>6} {k:>9} {variant:<10} {med:>14} {reps}")
+    print(f"{'n':>6} {'k':>9} {'variant':<10} {'median_ns':>14} reps "
+          f"{'total_insertions':>16} {'peak_size':>9} {'extractions':>11}")
+    for c in run_matrix(args.n_list, args.k_list, variants, args.seed, args.reps):
+        print(f"{c.n:>6} {c.k:>9} {c.variant:<10} {c.elapsed_ns:>14} {c.reps:>4} "
+              f"{c.total_insertions:>16} {c.peak_size:>9} {c.extractions:>11}")
     return 0
 
 

@@ -268,6 +268,12 @@ def _as_bits(bits: Bits) -> bytes:
 
 
 def positions_from_bits(bits: Bits) -> tuple[int, ...]:
+    """1-based positions of a pattern's members, in increasing order.
+
+    ``bits`` is bytes, "0"/"1" text or a sequence of ints in 0..255, one
+    entry per position; any non-zero byte is a member.  The scan visits
+    every entry, the O(n) retrieval of a bit-vector record.
+    """
     b = _as_bits(bits)
     return tuple([i for i, bit in enumerate(b, 1) if bit])
 

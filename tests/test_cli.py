@@ -227,7 +227,9 @@ class TestFlagErrors:
             ["topk", "--k", "3", "--algo", "quantum"],
             ["verify", "--n-max", "17"],
             ["verify", "--algos", "baseline,bogus"],
-            ["bench", "--n-list", "4", "--k-list", "", "--csv", "x.csv"],
+            ["bench", "--n-list", "4", "--k-list", ","],
+            ["bench", "--n-list", "0", "--k-list", "5"],
+            ["bench", "--n-list", "4", "--k-list", "-1"],
             ["dag", "--n", "4"],
             ["dag", "--n", "11", "--dot", "x.dot"],
         ],
@@ -318,19 +320,20 @@ class TestVerifyCommand:
 
 
 class TestBenchCommand:
-    def test_grid_to_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "rows.csv"
+    def test_grid_table(self, capsys):
         out, _ = run_ok(
             ["bench", "--n-list", "4,5", "--k-list", "3", "--algos",
-             "baseline,compact", "--reps", "2", "--seed", "1",
-             "--csv", str(csv_path)],
+             "baseline,compact", "--reps", "2", "--seed", "1"],
             capsys,
         )
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "n,k,variant,seed,elapsed_ns,total_insertions,peak_size,reported_count"
-        assert len(lines) == 1 + 2 * 1 * 2 * 2
-        assert "8 rows" in out
-        assert "median_ns" in out
+        header, *rows = out.splitlines()
+        assert header.split() == ["n", "k", "variant", "median_ns", "reps",
+                                  "total_insertions", "peak_size", "extractions"]
+        assert [row.split()[:3] for row in rows] == [
+            [n, "3", v] for n in ("4", "5") for v in ("baseline", "compact")
+        ]
+        # baseline inserts 2k+1 and peaks at k+1 (acceptance test 3)
+        assert rows[0].split()[4:] == ["2", "7", "4", "3"]
 
 
 class TestDagCommand:

@@ -1,0 +1,102 @@
+"""Run perfbench on a base revision and on the working tree, in pairs.
+
+Usage::
+
+    python3 tools/bench_pairs.py BASE_REV PAIRS OUT
+
+For seeds 2..PAIRS+1 and each workload in ``BENCHMARK.json``, runs
+``perfbench/run.py --workload W --seed S --seconds 25 --trace 0`` once in a
+detached git worktree of BASE_REV ("parent") and once in the working tree
+("change"), alternating which side runs first from one seed to the next.
+Each run's ``record.json`` is tagged with its side and written to OUT as a
+JSON list, in the format of the committed ``BENCH_*.json`` files: the
+interpreter path is dropped, ``module`` is relative to the measured
+checkout, and a change side whose ``src/`` differs from HEAD records
+``commit: null`` (its ``source_sha256`` names the code).  Then prints each
+side's median [quartiles] of every end-to-end metric and the pairs the
+change won.  The worktree is removed on exit; nothing is written under
+``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def run_side(side: str, root: str, workload: str, seed: int) -> dict:
+    print(f"{side} {workload} seed={seed}", file=sys.stderr, flush=True)
+    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+                    str(seed), "--seconds", "25", "--trace", "0"],
+                   cwd=root, check=True, stdout=subprocess.DEVNULL)
+    path = os.path.join(root, ".perfbench_work", f"{workload}-trace0", "record.json")
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    record.pop("executable", None)
+    record["module"] = os.path.relpath(record["module"], root)
+    if side == "change" and git("status", "--porcelain", "--", "src"):
+        record["commit"] = None
+    return {"side": side, **record}
+
+
+def spread(values: list) -> str:
+    if len(values) < 2:
+        return f"{values[0]:.4g}"
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def summarize(entries: list, workloads: list, metrics: list) -> None:
+    for workload in workloads:
+        runs = {side: {e["seed"]: e["metrics"] for e in entries
+                       if e["workload"] == workload and e["side"] == side}
+                for side in ("parent", "change")}
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            parent = [m[name] for m in runs["parent"].values()]
+            change = [m[name] for m in runs["change"].values()]
+            wins = sum(sign * (runs["change"][s][name] - runs["parent"][s][name]) > 0
+                       for s in runs["parent"])
+            print(f"{workload:<16} {name:<18} {spread(parent)} -> {spread(change)}"
+                  f"  change better in {wins}/{len(parent)}")
+
+
+def main(argv: list) -> int:
+    if len(argv) != 3 or not argv[1].isdigit() or int(argv[1]) < 1:
+        print("usage: python3 tools/bench_pairs.py BASE_REV PAIRS OUT", file=sys.stderr)
+        return 2
+    base_rev, pairs, out = argv[0], int(argv[1]), argv[2]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    entries = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        base = os.path.join(tmp, "base")
+        git("worktree", "add", "--detach", base, base_rev)
+        try:
+            for seed in range(2, pairs + 2):
+                for workload in workloads:
+                    sides = [("parent", base), ("change", ROOT)]
+                    for side, root in sides if seed % 2 == 0 else sides[::-1]:
+                        entries.append(run_side(side, root, workload, seed))
+        finally:
+            git("worktree", "remove", "--force", base)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+    summarize(entries, workloads, spec["end_to_end"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
