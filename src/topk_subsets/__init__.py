@@ -27,7 +27,7 @@ from .core import (
 from .enumerators import Variant, topk
 from .oracle import all_subsets_sorted, topk_oracle
 from .pool import BoundedPool, RunMetrics
-from .shifts import EdgeType, ShiftKind
+from .shifts import EdgeType
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "OverflowRiskError",
     "RankedSubset",
     "RunMetrics",
-    "ShiftKind",
     "SubsetPositions",
     "Variant",
     "all_subsets_sorted",

@@ -11,9 +11,9 @@ from (seed, n) alone:
     z := ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2**64
     draw := z XOR (z >> 31)
 
-Each draw maps to [lo, hi] as lo + (draw mod (hi - lo + 1)).  The modulo
-introduces negligible bias for desk-scale spans; exact reproducibility
-is the contract here, not statistical perfection.
+Each draw maps to the value 1 + (draw mod 10**6), in [1, 10**6].  The
+modulo introduces negligible bias; exact reproducibility is the contract
+here, not statistical perfection.
 
 Timing is the enumerator's own elapsed_ns, from the stream's first
 ``next()`` to its end.  It includes the consumer's time between yields,
@@ -26,14 +26,12 @@ every cell alike instead of the cells timed during it.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import InputSet
 from .enumerators import Variant, topk
 
 __all__ = [
-    "UniformInteger",
     "Cell",
     "splitmix64_stream",
     "gen_instance",
@@ -57,30 +55,12 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class UniformInteger:
-    """Uniform integer distribution on [lo, hi], both ends inclusive."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-
-def gen_instance(
-    n: int, seed: int, distribution: UniformInteger, mode: str = "int"
-) -> InputSet:
-    """Deterministic sorted instance of n values for (n, seed)."""
+def gen_instance(n: int, seed: int) -> InputSet:
+    """Deterministic sorted int instance of n values in [1, 10**6] for (n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    span = distribution.hi - distribution.lo + 1
     stream = splitmix64_stream(seed)
-    values = [distribution.lo + next(stream) % span for _ in range(n)]
-    if mode == "float":
-        values = [float(v) for v in values]
-    return InputSet.from_values(values, mode)
+    return InputSet.from_values([1 + next(stream) % 10**6 for _ in range(n)])
 
 
 class Cell(NamedTuple):
@@ -111,8 +91,7 @@ def run_matrix(
     order (n, then k, then variant, as listed); a repeated list entry
     names the same cell.
     """
-    dist = UniformInteger(1, 10**6)
-    instances = {n: gen_instance(n, seed, dist) for n in n_list}
+    instances = {n: gen_instance(n, seed) for n in n_list}
     grid = list(dict.fromkeys(
         (n, k, Variant(v)) for n in n_list for k in k_list for v in variants))
     times = {cell: [] for cell in grid}

@@ -16,15 +16,9 @@ from typing import IO, Sequence
 
 from .core import InputError, expand_deltas, load_input
 from .enumerators import Variant, topk
-from .shifts import ShiftKind, final_dag_report, walk_final_dag
+from .shifts import final_dag_report, walk_final_dag
 
 __all__ = ["main"]
-
-_EDGE_SETS = {
-    "incr": ShiftKind.INCREMENTAL,
-    "mincr": ShiftKind.MANDATORY_INCREMENTAL,
-    "mmincr": ShiftKind.MODIFIED_MANDATORY_INCREMENTAL,
-}
 
 _ALGOS = [v.value for v in Variant]
 
@@ -62,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="input file of numbers, or - for stdin")
     p.add_argument("--k", type=_positive_int, required=True, help="how many subsets")
     p.add_argument("--algo", choices=_ALGOS, default="compact")
-    p.add_argument("--edge-set", choices=sorted(_EDGE_SETS), default=None,
-                   help="incremental edge flavour (dedup only)")
     p.add_argument("--output", choices=["sums", "subsets", "deltas"], default="sums")
     p.add_argument("--mode", choices=["int", "float"], default="int")
     p.add_argument("--metrics", metavar="FILE", default=None,
@@ -75,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=25)
     p.add_argument("--algos", type=str, default=",".join(_ALGOS),
                    help="comma-separated subset of " + ",".join(_ALGOS))
-    p.add_argument("--edge-set", choices=sorted(_EDGE_SETS), default="incr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time and space of each cell of an (n, k, algo) grid")
@@ -109,8 +100,6 @@ def _parse_algos(parser: argparse.ArgumentParser, text: str) -> list[Variant]:
 
 
 def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.edge_set is not None and args.algo != "dedup":
-        parser.error("--edge-set applies to --algo dedup only")
     if args.output == "deltas" and args.algo != "compact":
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
     try:
@@ -126,8 +115,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    edge_set = _EDGE_SETS[args.edge_set or "incr"]
-    stream, metrics = topk(r, args.k, Variant(args.algo), edge_set=edge_set)
+    stream, metrics = topk(r, args.k, Variant(args.algo))
     out = sys.stdout
     if args.output == "subsets" and args.algo == "compact":
         stream = expand_deltas(stream)
@@ -177,13 +165,12 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 # verify and bench import their helpers on call: statistics is not loaded for topk
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .bench import UniformInteger, gen_instance
+    from .bench import gen_instance
     from .oracle import all_subsets_sorted
 
     if args.n_max > 16:
         parser.error("--n-max is capped at 16 (oracle cost doubles per step)")
     algos = _parse_algos(parser, args.algos)
-    edge_set = _EDGE_SETS[args.edge_set]
     failures: list[str] = []
 
     def report(name: str, problem: "str | None") -> None:
@@ -192,17 +179,16 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if problem is not None:
             failures.append(f"{name}: {problem}")
 
-    dist = UniformInteger(1, 10**6)
     for variant in algos:
         problem = None
         for n in range(1, args.n_max + 1):
             k = (1 << n) - 1
             for seed in range(args.seeds):
-                inst = gen_instance(n, seed, dist)
+                inst = gen_instance(n, seed)
                 want = [s for s, _ in all_subsets_sorted(inst)[:k]]
                 # a crash is as much a failed check as a wrong answer
                 try:
-                    stream, _ = topk(inst, k, variant, edge_set=edge_set)
+                    stream, _ = topk(inst, k, variant)
                     got = [item.total for item in stream]
                 except Exception as exc:
                     problem = f"(n={n}, seed={seed}, k={k}) raised {exc!r}"

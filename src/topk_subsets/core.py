@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from operator import le
+from operator import itemgetter, le, methodcaller, mul
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "RankedSubset",
     "load_input",
     "validate_positions",
+    "unscale",
     "sum_of",
     "positions_from_bits",
     "mask_from_positions",
@@ -82,10 +83,17 @@ class InputSet:
     for exact integer arithmetic or ``"float"`` for floating point.
     Construct through :meth:`from_values` or :func:`load_input`, which
     sort and validate; direct construction re-checks the invariants.
+
+    ``exact`` (the ints that every walk, :func:`sum_of` and the oracle
+    add) and ``scale`` are derived, with ``exact[i] / scale == values[i]``
+    exactly.  In int mode they are ``values`` and 1; in float mode
+    ``scale`` is the largest ``as_integer_ratio`` denominator, a power of 2.
     """
 
     values: tuple
     mode: str = "int"
+    exact: tuple = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("int", "float"):
@@ -107,6 +115,16 @@ class InputSet:
                 raise OverflowRiskError(
                     f"n * max(values) = {worst} exceeds the signed 64-bit range"
                 )
+            exact, scale = values, 1
+        else:
+            # each denominator is a power of two, so the largest is a multiple of all;
+            # streamed twice, as a list of 10**6 ratio pairs costs more than a pass
+            ratio = methodcaller("as_integer_ratio")
+            scale = max(map(itemgetter(1), map(ratio, values)))
+            exact = tuple(map(mul, map(itemgetter(0), map(ratio, values)),
+                              map(scale.__floordiv__, map(itemgetter(1), map(ratio, values)))))
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "scale", scale)
 
     def _check_each(self) -> None:
         """Per-value checks: raise on the first fault, in value order.
@@ -163,12 +181,12 @@ def load_input(
     position m+1 or later.  The set returned holds the m+1 smallest values
     (all of them when m+1 >= n): position m+1 stays so that every
     successor rule tests its bound ``p < n`` as it would on the full set.
-    The cut applies in int mode only (float totals are inexact, so
-    rounding could let a node past the cut surface), and every verdict is
-    still reached over the full input, so errors and messages do not
-    depend on ``keep``: each token is parsed, an input that fails the
-    63-bit guard (full n and maximum) is loaded uncut, and the prefix
-    holds the global minimum, which the sign check looks at.
+    The cut applies in int mode only: a float parse accepts ``inf`` and
+    ``nan``, so a float cut would need a finiteness scan of every value
+    first.  Every verdict is reached over the full input, so errors and
+    messages do not depend on ``keep``: each token is parsed, an input
+    that fails the 63-bit guard (full n and maximum) is loaded uncut, and
+    the prefix holds the global minimum, which the sign check looks at.
 
     Memory peaks while the tokens are parsed: the token list and the value
     list are alive together, and the text too when ``source`` is a string
@@ -238,44 +256,34 @@ def validate_positions(positions: Sequence[int], n: int) -> None:
         raise InputError(f"position {prev} exceeds n = {n}")
 
 
+def unscale(total: int, scale: int) -> float:
+    """``float(Fraction(total, scale))``, rounded once by int true division, or inf."""
+    try:
+        return total / scale
+    except OverflowError:
+        return math.inf
+
+
 def sum_of(positions: Sequence[int], r: InputSet) -> Number:
     """Sum of the values at the given 1-based positions.
 
-    Exact in integer mode; correctly rounded (``math.fsum``) in float mode.
+    Exact in integer mode; in float mode the exact sum rounded once to a
+    float (:func:`unscale`).
     """
     validate_positions(positions, r.n)
-    values = r.values
-    if r.mode == "float":
-        return math.fsum(values[p - 1] for p in positions)
-    return sum(values[p - 1] for p in positions)
+    total = sum(r.exact[p - 1] for p in positions)
+    return unscale(total, r.scale) if r.mode == "float" else total
 
 
 # -- bit-pattern helpers -----------------------------------------------------
 
-Bits = Union[bytes, str, Sequence[int]]
-
-
-def _as_bits(bits: Bits) -> bytes:
-    """Normalize a pattern given as bytes, "0"/"1" text, or an int sequence."""
-    if isinstance(bits, bytes):
-        return bits
-    if isinstance(bits, str):
-        try:
-            return bytes("01".index(c) for c in bits)
-        except ValueError:
-            raise InputError(f"bit string must contain only 0 and 1: {bits!r}") from None
-    return bytes(bits)
-
-
-def positions_from_bits(bits: Bits) -> tuple[int, ...]:
+def positions_from_bits(bits: bytes) -> tuple[int, ...]:
     """1-based positions of a pattern's members, in increasing order.
 
-    ``bits`` is bytes, "0"/"1" text or a sequence of ints in 0..255, one
-    entry per position; any non-zero byte is a member.  The scan visits
-    every entry, the O(n) retrieval of a bit-vector record.
+    ``bits`` holds one byte per position; any non-zero byte is a member.
+    The scan visits every byte, the O(n) retrieval of a bit-vector record.
     """
-    b = _as_bits(bits)
-    return tuple([i for i, bit in enumerate(b, 1) if bit])
+    return tuple([i for i, bit in enumerate(bits, 1) if bit])
 
 
 def mask_from_positions(positions: Sequence[int]) -> int:
@@ -286,14 +294,13 @@ def mask_from_positions(positions: Sequence[int]) -> int:
     return mask
 
 
-def cursors_from_bits(bits: Bits) -> tuple[int, int, int, int]:
-    """Recompute the cursor quadruple of a pattern from scratch.
+def cursors_from_bits(b: bytes) -> tuple[int, int, int, int]:
+    """Recompute the cursor quadruple of a 0/1 byte pattern from scratch.
 
     Returns ``(first_after_gap, prefix_end, last_one, second_after_gap)``.
     This is the reference definition that incrementally maintained cursors
     are checked against; it scans the whole pattern and is O(n).
     """
-    b = _as_bits(bits)
     n = len(b)
     if n == 0 or 1 not in b:
         raise InputError("pattern must contain at least one set bit")

@@ -18,10 +18,10 @@ budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
     out at position n).
 
 ``dedup``
-    The denser shift graph over ``(positions, total)`` nodes: the
-    mandatory static pair plus the chosen incremental edge flavour.  A
-    guard set of canonical masks, kept for the whole run, drops
-    candidates reached twice.
+    A guard-set walk over the multi-parent shift graph, on
+    ``(positions, total)`` nodes: the mandatory static pair plus every
+    incremental one shift.  A guard set of canonical masks, kept for the
+    whole run, drops candidates reached twice.
 
 ``bitvec``
     The final one-parent DAG over full bit patterns: the ``compact`` rule
@@ -31,6 +31,9 @@ budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
     The same walk in cursor-only form: O(1) state per node, no pattern.
     Emits (parent_rank, removed, added) deltas that
     :func:`topk_subsets.core.expand_deltas` replays into positions.
+
+Every walk adds the input's ``exact`` ints, so float mode orders by the
+exact sums; its records carry them rounded once to floats (``unscale``).
 """
 
 from __future__ import annotations
@@ -42,10 +45,9 @@ from operator import itemgetter
 from typing import Iterator
 
 from .core import (Delta, InputSet, RankedSubset, SubsetPositions, mask_from_positions,
-                   positions_from_bits)
+                   positions_from_bits, unscale)
 from .pool import BoundedPool, RunMetrics
 from .shifts import (
-    ShiftKind,
     bit_root,
     compact_children,
     compact_root,
@@ -76,7 +78,7 @@ def baseline_children(s: SubsetPositions, n: int) -> list[SubsetPositions]:
 
 def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
     positions, total = node
-    values = r.values
+    values = r.exact
     kids = baseline_children(positions, len(values))
     if kids:
         # pair each child with its sum in place: no second list per step
@@ -86,14 +88,14 @@ def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
     return kids
 
 
-def _dedup_successors(edge_set: ShiftKind, n: int):
+def _dedup_successors(n: int):
     """Dedup successors over positions 1..n only."""
     seen = {mask_from_positions((1,))}
 
     def successors(node: tuple, r: InputSet, rank: int) -> Iterator[tuple]:
-        positions, values = node[0], r.values
+        positions, values = node[0], r.exact
         children = [c for c, _ in mandatory_static_children(positions, n)]
-        children.extend(incremental_children_all(positions, n, edge_set))
+        children.extend(incremental_children_all(positions, n))
         for child in children:
             mask = mask_from_positions(child)
             if mask not in seen:
@@ -128,10 +130,16 @@ def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
     """Emit ``record(q, node)`` for the k_eff best nodes reachable from root.
 
     ``successors(node, r, q)`` gives the children of the q-th node and
-    ``key(node)`` its sum.  ``expand_all`` (baseline) expands every
+    ``key(node)`` its exact sum.  ``expand_all`` (baseline) expands every
     extraction and never prunes.
     """
     metrics = RunMetrics()
+    if r.mode == "float":
+        exact_record, scale = record, r.scale
+
+        def record(q: int, node) -> RankedSubset:
+            item = exact_record(q, node)
+            return _new(RankedSubset, (q, unscale(item[1], scale), item[2], item[3]))
 
     def gen() -> Stream:
         t0 = time.perf_counter_ns()
@@ -158,8 +166,6 @@ def topk(
     r: InputSet,
     k: int,
     variant: "Variant | str" = Variant.ONDEMAND_COMPACT,
-    *,
-    edge_set: ShiftKind = ShiftKind.INCREMENTAL,
 ) -> tuple[Stream, RunMetrics]:
     """Stream the k smallest-sum subsets of r under the chosen variant.
 
@@ -169,7 +175,8 @@ def topk(
     touched at the first ``next()``.  When fewer than k non-empty subsets
     exist, the stream ends early and ``metrics.extractions`` reports how
     many were emitted.  Sums are non-decreasing; ties order arbitrarily
-    but deterministically.  ``edge_set`` applies to ``dedup`` only.
+    but deterministically.  Float-mode totals are floats, each the exact
+    sum rounded once (``inf`` past the float range).
     """
     variant = Variant(variant)
     if k < 1:
@@ -177,7 +184,7 @@ def topk(
     # no n-bit int: at n = 10**6 building one raised the CLI's peak RSS by 4 MB
     k_eff = k if r.n >= 64 else min(k, (1 << r.n) - 1)
     if variant is Variant.BASELINE:
-        return _best_first(r, k_eff, ((1,), r.values[0]), _baseline_successors,
+        return _best_first(r, k_eff, ((1,), r.exact[0]), _baseline_successors,
                            _positions_record, itemgetter(1), expand_all=True)
     if variant is Variant.DEDUP_HEAP:
         n = r.n
@@ -185,7 +192,7 @@ def topk(
             # as load_input(keep=k): no answer uses a position past m + 1, m the
             # last position equal to v_k, and incr edges would add them all
             n = min(n, bisect_right(r.values, r.values[k_eff - 1]) + 1)
-        return _best_first(r, k_eff, ((1,), r.values[0]), _dedup_successors(edge_set, n),
+        return _best_first(r, k_eff, ((1,), r.exact[0]), _dedup_successors(n),
                            _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:
         return _best_first(r, k_eff, bit_root(r), final_dag_children, _bitvec_record,

@@ -6,16 +6,14 @@ lexicographic order of the position tuples; streaming variants are free
 to order ties differently, so comparisons against this oracle should be
 on the sum sequence unless all subset sums are distinct.
 
-Sums are exact in both modes: float values are scaled by 2**s to ints
-(``float.as_integer_ratio``), summed and sorted as ints, and each total
-is reported as ``total / 2**s``.  Int true division rounds correctly, so
-this is the float of ``Fraction(total, 2**s)``, without the import that
-would load ``fractions`` and ``decimal`` with the package.
+Sums are exact in both modes: the oracle adds and sorts the input's
+``exact`` ints, and in float mode reports each total once as
+:func:`topk_subsets.core.unscale` of it (``inf`` past the float range).
 """
 
 from __future__ import annotations
 
-from .core import InputSet, Number, SubsetPositions
+from .core import InputSet, Number, SubsetPositions, unscale
 
 __all__ = ["all_subsets_sorted", "topk_oracle"]
 
@@ -27,11 +25,7 @@ def all_subsets_sorted(r: InputSet) -> list[tuple[Number, SubsetPositions]]:
     n = r.n
     if n > _N_CAP:
         raise ValueError(f"oracle limited to n <= {_N_CAP}, got {n}")
-    values = r.values
-    if r.mode == "float":
-        ratios = [v.as_integer_ratio() for v in values]
-        scale = max(d for _, d in ratios)  # every denominator is a power of 2
-        values = [m * (scale // d) for m, d in ratios]
+    values = r.exact
     sums: list = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -42,7 +36,7 @@ def all_subsets_sorted(r: InputSet) -> list[tuple[Number, SubsetPositions]]:
         out.append((sums[mask], positions))
     out.sort()
     if r.mode == "float":
-        return [(total / scale, positions) for total, positions in out]
+        return [(unscale(total, r.scale), positions) for total, positions in out]
     return out
 
 

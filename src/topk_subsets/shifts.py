@@ -30,7 +30,6 @@ from typing import Iterator
 from .core import CompactNode, InputSet, SubsetPositions, cursors_from_bits, positions_from_bits
 
 __all__ = [
-    "ShiftKind",
     "EdgeType",
     "incremental_children_all",
     "mandatory_static_children",
@@ -43,14 +42,6 @@ __all__ = [
 ]
 
 
-class ShiftKind(Enum):
-    STATIC = "static"
-    INCREMENTAL = "incr"
-    MANDATORY_STATIC = "mstatic"
-    MANDATORY_INCREMENTAL = "mincr"
-    MODIFIED_MANDATORY_INCREMENTAL = "mmincr"
-
-
 class EdgeType(Enum):
     """Child kind in the final DAG; values are the DOT edge labels."""
 
@@ -59,35 +50,10 @@ class EdgeType(Enum):
     INCREMENTAL = "Incr"
 
 
-_INCREMENTAL_KINDS = (
-    ShiftKind.INCREMENTAL,
-    ShiftKind.MANDATORY_INCREMENTAL,
-    ShiftKind.MODIFIED_MANDATORY_INCREMENTAL,
-)
-
-
-def incremental_children_all(
-    s: SubsetPositions, n: int, kind: ShiftKind
-) -> list[SubsetPositions]:
-    """Children of s under the chosen incremental edge flavour.
-
-    Plain incremental adds any absent position (n - |s| children), the
-    mandatory form adds only positions below min(s) (min(s) - 1 children),
-    and the modified mandatory form adds position 1 alone (at most one).
-    """
-    if kind not in _INCREMENTAL_KINDS:
-        raise ValueError(f"{kind} is not an incremental edge kind")
-    if kind is ShiftKind.INCREMENTAL:
-        members = set(s)
-        out = []
-        for j in range(1, n + 1):
-            if j not in members:
-                child = tuple(sorted(s + (j,)))
-                out.append(child)
-        return out
-    if kind is ShiftKind.MANDATORY_INCREMENTAL:
-        return [(j,) + tuple(s) for j in range(1, s[0])]
-    return [(1,) + tuple(s)] if s[0] > 1 else []
+def incremental_children_all(s: SubsetPositions, n: int) -> list[SubsetPositions]:
+    """The incremental one shifts of s: s plus any absent position, n - |s| children."""
+    members = set(s)
+    return [tuple(sorted(s + (j,))) for j in range(1, n + 1) if j not in members]
 
 
 def _prefix_run_len(s: SubsetPositions) -> int:
@@ -122,7 +88,7 @@ def mandatory_static_children(
 
 def compact_root(r: InputSet) -> CompactNode:
     """The singleton {1} with a root delta that adds position 1."""
-    return CompactNode(0, 1, 1, 0, 1, r.values[0], None, None, 1)
+    return CompactNode(0, 1, 1, 0, 1, r.exact[0], None, None, 1)
 
 
 # nodes skip the Python-level NamedTuple __new__, which runs once per child
@@ -143,7 +109,7 @@ def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[C
     """
     # one unpack instead of repeated field gets: this runs once per extraction
     fag, pe, last, sag, size, total = node[:6]
-    values = r.values
+    values = r.exact
     n = len(values)
     out: list[CompactNode] = []
     if 1 < fag < n and sag != fag + 1:
@@ -193,19 +159,17 @@ def final_dag_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple
 # -- structural checkers --------------------------------------------------------
 
 
-def walk_final_dag(
-    n: int, r: "InputSet | None" = None
-) -> Iterator[tuple[tuple, list[tuple[tuple, EdgeType]]]]:
-    """Breadth-first walk of the whole final DAG from the root {1}.
+def walk_final_dag(n: int) -> Iterator[tuple[tuple, list[tuple[tuple, EdgeType]]]]:
+    """Breadth-first walk of the whole final DAG of width n from the root {1}.
 
     Yields each bit-vector node once together with its (child, edge)
-    list, the edge read off the child's delta.  With the one-parent
-    property intact the walk visits all 2**n - 1 subsets; the walk itself
-    does not deduplicate, so a broken rule shows up as repeated or
-    missing patterns in :func:`final_dag_report`.
+    list, the edge read off the child's delta.  Position p holds the
+    value p, so a node's total is the sum of its positions.  With the
+    one-parent property intact the walk visits all 2**n - 1 subsets; the
+    walk itself does not deduplicate, so a broken rule shows up as
+    repeated or missing patterns in :func:`final_dag_report`.
     """
-    if r is None:
-        r = InputSet.from_values(range(1, n + 1))
+    r = InputSet.from_values(range(1, n + 1))
     queue = deque([bit_root(r)])
     while queue:
         node = queue.popleft()
@@ -215,7 +179,7 @@ def walk_final_dag(
         queue.extend(children)
 
 
-def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
+def final_dag_report(n: int) -> list[str]:
     """Check every structural invariant of the final DAG at width n.
 
     Returns a list of problem descriptions, empty when all hold.  Each
@@ -228,11 +192,9 @@ def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
     2**n - 1 must be covered.  Stops after 20 problems or 2**n nodes, so
     a broken rule cannot loop.
     """
-    if r is None:
-        r = InputSet.from_values(range(1, n + 1))
     problems: list[str] = []
-    seen = {bit_root(r)[9]}
-    for count, (node, children) in enumerate(walk_final_dag(n, r), 1):
+    seen = {bytes([1]) + bytes(n - 1)}  # the root's pattern
+    for count, (node, children) in enumerate(walk_final_dag(n), 1):
         bits = node[9]
         pattern = "".join(map(str, bits))
         quad = cursors_from_bits(bits)
@@ -241,7 +203,7 @@ def final_dag_report(n: int, r: "InputSet | None" = None) -> list[str]:
         s = positions_from_bits(bits)
         if node[4] != len(s):
             problems.append(f"{pattern}: size field out of step")
-        if node[5] != sum(r.values[p - 1] for p in s):
+        if node[5] != sum(s):
             problems.append(f"{pattern}: stored total diverges from direct sum")
         want = [(t, edge.value) for t, edge in mandatory_static_children(s, n)]
         if s == tuple(range(2, len(s) + 2)) and len(s) < n:

@@ -11,14 +11,13 @@ import time
 
 import pytest
 
-from topk_subsets.bench import UniformInteger, gen_instance, run_matrix
+from topk_subsets.bench import gen_instance, run_matrix
 from topk_subsets.core import InputSet, expand_deltas, mask_from_positions
 from topk_subsets.enumerators import Variant, topk
 from topk_subsets.oracle import all_subsets_sorted
 from topk_subsets.shifts import final_dag_report, walk_final_dag
 
 SEED = 5
-DIST = UniformInteger(1, 10**6)
 KS = (10**3, 10**4, 10**5)
 
 
@@ -37,12 +36,12 @@ def drain(r, k, variant):
 
 @pytest.fixture(scope="module")
 def inst100():
-    return gen_instance(100, SEED, DIST)
+    return gen_instance(100, SEED)
 
 
 @pytest.fixture(scope="module")
 def inst1000():
-    return gen_instance(1000, SEED, DIST)
+    return gen_instance(1000, SEED)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +77,7 @@ def test_1_exact_equivalence_small_widths():
     for n in range(1, 13):
         k = 2**n - 1
         for seed in range(25):
-            inst = gen_instance(n, seed, DIST)
+            inst = gen_instance(n, seed)
             want = [s for s, _ in all_subsets_sorted(inst)]
             for variant in Variant:
                 stream, _ = topk(inst, k, variant)

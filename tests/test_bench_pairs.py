@@ -1,0 +1,43 @@
+"""The verdicts of ``tools/bench_pairs.py`` on synthetic run records."""
+
+import importlib.util
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # IQR 5.5
+
+
+def entries(workload, rate, time):
+    """Ten seeds per side, as ``run_side`` tags them; the parent reads PARENT."""
+    return [
+        {"side": side, "workload": workload, "seed": seed,
+         "metrics": {"rate": rates[i], "time": times[i]}}
+        for side, rates, times in (("parent", PARENT, PARENT), ("change", rate, time))
+        for i, seed in enumerate(range(2, 12))
+    ]
+
+
+def test_summary_gives_one_verdict_per_metric_and_workload(capsys):
+    runs = (
+        # rate: 9 of 10 pairs won by 11, more than the IQR; time: +5%, inside the bound
+        entries("fast", [v + 11 for v in PARENT[:9]] + [100], [v * 1.05 for v in PARENT])
+        # rate: -30% against a 0.25 bound; time: +30%
+        + entries("slow", [v * 0.7 for v in PARENT], [v * 1.3 for v in PARENT])
+        # every pair won, but by less than the parent's IQR
+        + entries("noisy", [v + 1 for v in PARENT], [v - 1 for v in PARENT])
+    )
+    metrics = [{"name": "rate", "better": "higher", "bound": 0.25},
+               {"name": "time", "better": "lower", "bound": 0.25}]
+    bench_pairs.summarize(runs, ["fast", "slow", "noisy"], metrics)
+    lines = capsys.readouterr().out.splitlines()
+    assert [(line.split()[0], line.split()[1], line.split()[-1]) for line in lines] == [
+        ("fast", "rate", "gain"), ("fast", "time", "same"),
+        ("slow", "rate", "worse"), ("slow", "time", "worse"),
+        ("noisy", "rate", "same"), ("noisy", "time", "same"),
+    ]
+    assert "change better in 9/10" in lines[0]
+    assert "change better in 10/10" in lines[5]

@@ -114,13 +114,26 @@ class TestTopkCommand:
         assert len(out.splitlines()) == 31
         assert err == "note: truncated at 31 subsets; only 31 non-empty subsets exist for n=5\n"
 
-    def test_dedup_edge_set_accepted(self, input_file, capsys):
-        out, _ = run_ok(
-            ["topk", "--input", input_file, "--k", "3",
-             "--algo", "dedup", "--edge-set", "mmincr"],
-            capsys,
-        )
-        assert out.splitlines() == ["1\t1", "2\t2", "3\t3"]
+    def test_edge_set_flag_is_gone(self, input_file, capsys):
+        # dedup has one edge set; the flag that chose among three is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["topk", "--input", input_file, "--k", "3", "--edge-set", "mmincr"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --edge-set mmincr" in capsys.readouterr().err
+
+    def test_float_repro_orders_by_exact_sums(self, capsys, monkeypatch):
+        # every total prints as 9e+16, but {2,5} is exactly smaller than {1,2,3,5}
+        monkeypatch.setattr("sys.stdin", io.StringIO("6 9e16 8e-8 1e-8 2e-8"))
+        out, _ = run_ok(["topk", "--k", "31", "--mode", "float", "--output", "subsets"],
+                        capsys)
+        subsets = [line.split("\t")[2] for line in out.splitlines()]
+        assert subsets.index("2,5") < subsets.index("1,2,3,5")
+
+    @pytest.mark.parametrize("algo", ["baseline", "dedup", "bitvec", "compact"])
+    def test_float_total_past_the_float_range_is_inf(self, capsys, monkeypatch, algo):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1e308 1e308"))
+        out, _ = run_ok(["topk", "--k", "3", "--mode", "float", "--algo", algo], capsys)
+        assert out == "1\t1e+308\n2\t1e+308\n3\tinf\n"
 
     def test_start_up_loads_no_helper_only_modules(self):
         # verify, bench and the oracle's callers import these on call; topk's start-up does not
@@ -170,10 +183,9 @@ def _run_captured(argv, text):
 
 
 _CLI_RUNS = [
-    (algo, output, edge)
+    (algo, output)
     for algo in ("baseline", "dedup", "bitvec", "compact")
     for output in ("sums", "subsets", "deltas")
-    for edge in ((None,) if algo != "dedup" else ("incr", "mincr", "mmincr"))
     if output != "deltas" or algo == "compact"
 ]
 
@@ -191,10 +203,8 @@ class TestCutLoadOutput:
         st.sampled_from(_CLI_RUNS),
     )
     def test_bytes_and_counters_match_an_uncut_load(self, values, k, run):
-        algo, output, edge = run
+        algo, output = run
         argv = ["topk", "--k", str(k), "--algo", algo, "--output", output]
-        if edge is not None:
-            argv += ["--edge-set", edge]
         text = " ".join(map(str, values))
         code, out, metrics = _run_captured(argv, text)
         with pytest.MonkeyPatch.context() as mp:
@@ -203,7 +213,7 @@ class TestCutLoadOutput:
             mp.setattr(cli, "load_input", lambda source, mode="int", keep=None: real(source, mode))
             want_code, want_out, want_metrics = _run_captured(argv, text)
         assert (code, out) == (want_code, want_out)
-        if (algo, edge) == ("dedup", "incr"):
+        if algo == "dedup":
             # incr edges reach every position up to n: fewer insertions after a cut
             got, want = dict(m.split("=") for m in metrics), dict(m.split("=") for m in want_metrics)
             assert got.keys() == want.keys()
@@ -211,6 +221,20 @@ class TestCutLoadOutput:
             assert all(int(got[key]) <= int(want[key]) for key in got)
         else:
             assert metrics == want_metrics
+
+    # dedup's output bytes and counters on a tied input, cut (k=9) and uncut (k=40)
+    @pytest.mark.parametrize("k, digest, counters", [
+        (9, "c8a9cb59615132ddb5759e7764e6af88b07b8509e989a7f6d67ca6502994c9d9",
+         "total_insertions=71 peak_size=17 extractions=9 prunes=62 reported_count=9"),
+        (40, "6df10ddc1f55ec58bfe3b1017bae922802ea40dcecd908dfac00f8d570ab5a53",
+         "total_insertions=517 peak_size=51 extractions=40 prunes=477 reported_count=40"),
+    ])
+    def test_dedup_bytes_and_counters_pinned(self, k, digest, counters):
+        argv = ["topk", "--k", str(k), "--algo", "dedup", "--output", "subsets"]
+        code, out, metrics = _run_captured(argv, "3 0 1 1 0 2 1 5 4 2 2 9 7 1 0 8 6 3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert " ".join(metrics) == counters
 
 
 class TestFlagErrors:

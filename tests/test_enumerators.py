@@ -1,26 +1,33 @@
 """The four enumeration strategies against the oracle and each other."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_oracle import exact_float, fraction_reference
+from test_shifts import (mandatory_incremental_children,
+                         modified_mandatory_incremental_children)
 
 import topk_subsets.enumerators as enumerators
 from topk_subsets.core import InputSet, expand_deltas, mask_from_positions
 from topk_subsets.enumerators import Variant, baseline_children, topk
 from topk_subsets.oracle import topk_oracle
-from topk_subsets.shifts import ShiftKind
+from topk_subsets.shifts import incremental_children_all
 
 R1234 = InputSet.from_values((1, 2, 3, 4))
 ALL_VARIANTS = list(Variant)
-EDGE_SETS = [
-    ShiftKind.INCREMENTAL,
-    ShiftKind.MANDATORY_INCREMENTAL,
-    ShiftKind.MODIFIED_MANDATORY_INCREMENTAL,
+# dedup's incremental rule, and the paper's two thinned relations in its place
+INCREMENTAL_RULES = [
+    pytest.param(incremental_children_all, id="incr"),
+    pytest.param(mandatory_incremental_children, id="mincr"),
+    pytest.param(modified_mandatory_incremental_children, id="mmincr"),
 ]
 
 
-def drain(r, k, variant, **kw):
-    stream, metrics = topk(r, k, variant, **kw)
+def drain(r, k, variant):
+    stream, metrics = topk(r, k, variant)
     return list(stream), metrics
 
 
@@ -201,10 +208,12 @@ class TestDedupModes:
             (7, 2, (1, 2, 3)),
         ]
 
-    @pytest.mark.parametrize("edge_set", EDGE_SETS, ids=lambda e: e.value)
-    def test_edge_sets_agree_with_oracle(self, edge_set):
+    @pytest.mark.parametrize("incremental", INCREMENTAL_RULES)
+    def test_edge_sets_agree_with_oracle(self, monkeypatch, incremental):
+        # the guard-set walk stays exact with any of the three relations as its Incr edges
+        monkeypatch.setattr(enumerators, "incremental_children_all", incremental)
         r = InputSet.from_values((0, 0, 2, 5, 5))
-        rows, _ = drain(r, 31, "dedup", edge_set=edge_set)
+        rows, _ = drain(r, 31, "dedup")
         assert [it.total for it in rows] == [s for s, _ in topk_oracle(r, 31)]
         assert len({mask_from_positions(it.positions) for it in rows}) == 31
 
@@ -272,8 +281,32 @@ def test_each_rule_is_called_once_per_expanded_extraction(monkeypatch, k):
         assert calls == {**dict.fromkeys(calls, 0), rule: m.extractions - 1}
 
 
-@pytest.mark.xfail(strict=True, reason="float mode updates totals with inexact float +/-")
 def test_compact_float_mode_matches_exact_oracle():
     r = InputSet.from_values((6, 9e16, 8e-8, 1e-8, 2e-8), mode="float")
     rows, _ = drain(r, 31, "compact")
     assert [it.total for it in rows] == [s for s, _ in topk_oracle(r, 31)]
+
+
+_FLOATS = st.one_of(st.floats(0, 1e-300), st.floats(0, 1e3), st.floats(0, sys.float_info.max))
+
+
+@given(st.lists(_FLOATS, min_size=1, max_size=6), st.integers(1, 63))
+def test_float_mode_matches_fraction_brute_force(values, k):
+    """Every variant's totals are the exact sums rounded once, in order, as floats."""
+    r = InputSet.from_values(values, mode="float")
+    want = [exact_float(total) for total, _ in fraction_reference(r)[:k]]
+    for variant in ALL_VARIANTS:
+        rows, _ = drain(r, k, variant)
+        if variant is Variant.ONDEMAND_COMPACT:
+            rows = list(expand_deltas(rows))
+        assert [it.total for it in rows] == want, variant
+        assert all(type(it.total) is float for it in rows), variant
+        for it in rows:
+            assert it.total == exact_float(sum(Fraction(r.values[p - 1]) for p in it.positions))
+
+
+def test_closing_a_float_stream_ends_the_walk():
+    stream, metrics = topk(InputSet.from_values((0.5, 0.25, 2.0), mode="float"), 7)
+    assert next(stream).total == 0.25
+    stream.close()
+    assert metrics.elapsed_ns > 0 and metrics.extractions == 1

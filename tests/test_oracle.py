@@ -1,6 +1,8 @@
 """Brute-force reference checked against a second, combinatorial brute force."""
 
 import itertools
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,7 +86,7 @@ def test_matches_combinatorial_reference(values):
     assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
 
 
-def _fraction_reference(r: InputSet):
+def fraction_reference(r: InputSet):
     """Exact sums as Fractions, sorted with ties broken by positions."""
     idx = range(1, r.n + 1)
     out = [
@@ -96,11 +98,19 @@ def _fraction_reference(r: InputSet):
     return out
 
 
+def exact_float(total: Fraction) -> float:
+    """The float nearest total, or inf past the float range."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
 def _assert_exact(r: InputSet):
     rows = all_subsets_sorted(r)
-    want = _fraction_reference(r)
+    want = fraction_reference(r)
     assert [p for _, p in rows] == [p for _, p in want]
-    assert [s for s, _ in rows] == [float(s) for s, _ in want]
+    assert [s for s, _ in rows] == [exact_float(s) for s, _ in want]
     assert all(type(s) is float for s, _ in rows)
 
 
@@ -109,6 +119,11 @@ def test_float_mode_is_exact():
     _assert_exact(InputSet.from_values((6, 9e16, 8e-8, 1e-8, 2e-8), mode="float"))
 
 
-@given(st.lists(st.floats(0, 1e300), min_size=1, max_size=6))
+def test_float_totals_past_the_float_range_are_inf():
+    rows = all_subsets_sorted(InputSet.from_values((1e308, 1e308), mode="float"))
+    assert rows == [(1e308, (1,)), (1e308, (2,)), (math.inf, (1, 2))]
+
+
+@given(st.lists(st.floats(0, sys.float_info.max), min_size=1, max_size=6))
 def test_float_mode_matches_fraction_reference(values):
     _assert_exact(InputSet.from_values(values, mode="float"))

@@ -19,7 +19,6 @@ from topk_subsets import enumerators
 from topk_subsets.core import InputSet
 from topk_subsets.enumerators import Variant, topk
 from topk_subsets.pool import BoundedPool, RunMetrics
-from topk_subsets.shifts import ShiftKind
 
 # -- the reference --------------------------------------------------------------
 
@@ -137,27 +136,20 @@ _TIED_VALUES = st.one_of(
     st.integers(0, 5).flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=9)),
     st.lists(st.integers(0, 3), min_size=1, max_size=9),
 )
-# every variant, and dedup once per edge set
-_RUNS = [(v, ShiftKind.INCREMENTAL) for v in Variant if v is not Variant.DEDUP_HEAP] + [
-    (Variant.DEDUP_HEAP, e) for e in (ShiftKind.INCREMENTAL, ShiftKind.MANDATORY_INCREMENTAL,
-                                      ShiftKind.MODIFIED_MANDATORY_INCREMENTAL)
-]
-
-
-def _steps(r, k, variant, edge_set):
+def _steps(r, k, variant):
     """Each record with the four counters as they stand right after it."""
-    stream, m = topk(r, k, variant, edge_set=edge_set)
+    stream, m = topk(r, k, variant)
     return [(item, (m.total_insertions, m.peak_size, m.extractions, m.prunes))
             for item in stream]
 
 
 def _assert_matches_reference(vals, k):
     r = InputSet.from_values(sorted(vals))
-    for variant, edge_set in _RUNS:
-        got = _steps(r, k, variant, edge_set)
+    for variant in Variant:
+        got = _steps(r, k, variant)
         with mock.patch.object(enumerators, "BoundedPool", BudgetAdapter):
-            want = _steps(r, k, variant, edge_set)
-        assert got == want, (variant, edge_set)
+            want = _steps(r, k, variant)
+        assert got == want, variant
 
 
 @given(_TIED_VALUES.flatmap(

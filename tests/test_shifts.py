@@ -1,9 +1,11 @@
 """Shift predicates, their generator counterparts, and the final-DAG rules.
 
 The predicates define edges declaratively; the generators are what the
-enumerators run.  Equivalence between the two is checked exhaustively for
-every subset pair up to n=8, then the bit-level rules are checked against
-the position-level generators, and the whole DAG against its own report.
+enumerators run, plus the paper's two thinned incremental relations,
+which live here because only the checks below use them.  Equivalence
+between predicates and generators is checked exhaustively for every
+subset pair up to n=8, then the bit-level rules are checked against the
+position-level generators, and the whole DAG against its own report.
 """
 
 import itertools
@@ -21,7 +23,6 @@ from topk_subsets.core import (
 )
 from topk_subsets.shifts import (
     EdgeType,
-    ShiftKind,
     bit_root,
     compact_children,
     compact_root,
@@ -79,6 +80,18 @@ def is_modified_mandatory_incremental(s: SubsetPositions, t: SubsetPositions) ->
     return len(t) == len(s) + 1 and t[1:] == tuple(s) and t[0] == 1 and s[0] > 1
 
 
+def mandatory_incremental_children(s: SubsetPositions, n: int) -> list[SubsetPositions]:
+    """Adds one position below min(s): min(s) - 1 children."""
+    return [(j,) + s for j in range(1, s[0])]
+
+
+def modified_mandatory_incremental_children(
+    s: SubsetPositions, n: int
+) -> list[SubsetPositions]:
+    """Adds position 1 alone: at most one child, the final DAG's Incr edge."""
+    return [(1,) + s] if s[0] > 1 else []
+
+
 def subsets_of(n):
     for size in range(1, n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
@@ -121,28 +134,12 @@ class TestPredicateExamples:
 
 class TestGenerators:
     def test_incremental_children(self):
-        assert incremental_children_all((2, 3), 4, ShiftKind.INCREMENTAL) == [
-            (1, 2, 3),
-            (2, 3, 4),
-        ]
-        assert incremental_children_all(
-            (2, 3), 4, ShiftKind.MANDATORY_INCREMENTAL
-        ) == [(1, 2, 3)]
-        assert incremental_children_all(
-            (2, 3), 4, ShiftKind.MODIFIED_MANDATORY_INCREMENTAL
-        ) == [(1, 2, 3)]
+        assert incremental_children_all((2, 3), 4) == [(1, 2, 3), (2, 3, 4)]
+        assert mandatory_incremental_children((2, 3), 4) == [(1, 2, 3)]
+        assert modified_mandatory_incremental_children((2, 3), 4) == [(1, 2, 3)]
         # position 1 taken: nothing below the minimum to add
-        assert incremental_children_all((1, 3), 4, ShiftKind.MANDATORY_INCREMENTAL) == []
-        assert (
-            incremental_children_all((1, 3), 4, ShiftKind.MODIFIED_MANDATORY_INCREMENTAL)
-            == []
-        )
-
-    def test_incremental_children_rejects_static_kinds(self):
-        with pytest.raises(ValueError):
-            incremental_children_all((1,), 3, ShiftKind.STATIC)
-        with pytest.raises(ValueError):
-            incremental_children_all((1,), 3, ShiftKind.MANDATORY_STATIC)
+        assert mandatory_incremental_children((1, 3), 4) == []
+        assert modified_mandatory_incremental_children((1, 3), 4) == []
 
     def test_mandatory_static_children(self):
         assert mandatory_static_children((1,), 4) == [((2,), EdgeType.TYPE2)]
@@ -166,16 +163,13 @@ def test_predicates_match_generators_exhaustively(n):
         mandatory = [s for s in all_subsets if is_mandatory_static_one_shift(s, t)]
         assert mandatory == (parents[:1] if parents else [])
     for s in all_subsets:
-        for kind, pred in (
-            (ShiftKind.INCREMENTAL, is_incremental_one_shift),
-            (ShiftKind.MANDATORY_INCREMENTAL, is_mandatory_incremental_one_shift),
-            (
-                ShiftKind.MODIFIED_MANDATORY_INCREMENTAL,
-                is_modified_mandatory_incremental,
-            ),
+        for children, pred in (
+            (incremental_children_all, is_incremental_one_shift),
+            (mandatory_incremental_children, is_mandatory_incremental_one_shift),
+            (modified_mandatory_incremental_children, is_modified_mandatory_incremental),
         ):
             want = [t for t in all_subsets if pred(s, t)]
-            assert incremental_children_all(s, n, kind) == want
+            assert children(s, n) == want
         want_static = {t for t in all_subsets if is_mandatory_static_one_shift(s, t)}
         assert {c for c, _ in mandatory_static_children(s, n)} == want_static
 
@@ -186,9 +180,7 @@ def test_fanout_bound_exhaustive(n):
     for s in subsets_of(n):
         static = mandatory_static_children(s, n)
         assert len(static) <= 2
-        grown = incremental_children_all(
-            s, n, ShiftKind.MODIFIED_MANDATORY_INCREMENTAL
-        )
+        grown = modified_mandatory_incremental_children(s, n)
         assert len(static) + len(grown) <= 2
 
 
@@ -362,13 +354,10 @@ def test_final_dag_report_clean(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bit_edges_agree_with_position_generators(n):
     """Every DAG edge is one the position-level generators also produce."""
-    r = InputSet.from_values(range(1, n + 1))
-    for node, children in walk_final_dag(n, r):
+    for node, children in walk_final_dag(n):
         s = positions_from_bits(node[9])
         static = mandatory_static_children(s, n)
-        grown = incremental_children_all(
-            s, n, ShiftKind.MODIFIED_MANDATORY_INCREMENTAL
-        )
+        grown = modified_mandatory_incremental_children(s, n)
         for child, edge in children:
             t = positions_from_bits(child[9])
             if edge is EdgeType.INCREMENTAL:

@@ -13,13 +13,19 @@ JSON list, in the format of the committed ``BENCH_*.json`` files: the
 interpreter path is dropped, ``module`` is relative to the measured
 checkout, and a change side whose ``src/`` differs from HEAD records
 ``commit: null`` (its ``source_sha256`` names the code).  Then prints each
-side's median [quartiles] of every end-to-end metric and the pairs the
-change won.  The worktree is removed on exit; nothing is written under
-``perfbench/``.
+side's median [quartiles] of every end-to-end metric, the pairs the
+change won and a verdict, and the ``src/`` line count of both sides.  The
+verdict is ``worse`` when the change's median is worse than the parent's
+by more than the metric's ``BENCHMARK.json`` bound (a fraction of the
+parent's median), ``gain`` when the change wins at least 9 in 10 pairs
+and its median beats the parent's by more than the parent's interquartile
+range, and ``same`` otherwise.  The worktree is removed on exit; nothing
+is written under ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import statistics
@@ -50,6 +56,14 @@ def run_side(side: str, root: str, workload: str, seed: int) -> dict:
     return {"side": side, **record}
 
 
+def src_lines(root: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def spread(values: list) -> str:
     if len(values) < 2:
         return f"{values[0]:.4g}"
@@ -68,8 +82,17 @@ def summarize(entries: list, workloads: list, metrics: list) -> None:
             change = [m[name] for m in runs["change"].values()]
             wins = sum(sign * (runs["change"][s][name] - runs["parent"][s][name]) > 0
                        for s in runs["parent"])
+            median = statistics.median(parent)
+            gap = sign * (statistics.median(change) - median)  # > 0: the change is better
+            q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
+            if -gap > metric["bound"] * abs(median):
+                verdict = "worse"
+            elif 10 * wins >= 9 * len(parent) and gap > q3 - q1:
+                verdict = "gain"
+            else:
+                verdict = "same"
             print(f"{workload:<16} {name:<18} {spread(parent)} -> {spread(change)}"
-                  f"  change better in {wins}/{len(parent)}")
+                  f"  change better in {wins}/{len(parent)}  {verdict}")
 
 
 def main(argv: list) -> int:
@@ -85,6 +108,7 @@ def main(argv: list) -> int:
         base = os.path.join(tmp, "base")
         git("worktree", "add", "--detach", base, base_rev)
         try:
+            lines = src_lines(base), src_lines(ROOT)
             for seed in range(2, pairs + 2):
                 for workload in workloads:
                     sides = [("parent", base), ("change", ROOT)]
@@ -95,6 +119,7 @@ def main(argv: list) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
     summarize(entries, workloads, spec["end_to_end"])
+    print(f"src/ lines: parent {lines[0]} -> change {lines[1]}")
     return 0
 
 
