@@ -295,31 +295,19 @@ def mask_from_positions(positions: Sequence[int]) -> int:
 
 
 def cursors_from_bits(b: bytes) -> tuple[int, int, int, int]:
-    """Recompute the cursor quadruple of a 0/1 byte pattern from scratch.
+    """Recompute the cursor quadruple of a byte pattern from scratch.
 
     Returns ``(first_after_gap, prefix_end, last_one, second_after_gap)``.
     This is the reference definition that incrementally maintained cursors
     are checked against; it scans the whole pattern and is O(n).
     """
-    n = len(b)
-    if n == 0 or 1 not in b:
+    b = bytes(map(bool, b))  # any non-zero byte is a member
+    if 1 not in b:
         raise InputError("pattern must contain at least one set bit")
-    i = 0
-    if b[0]:
-        while i < n and b[i]:
-            i += 1
-        prefix_end = i  # 1-based: run covers positions 1..i
-    else:
-        prefix_end = 0
-    while i < n and not b[i]:
-        i += 1
-    first_after_gap = i + 1 if i < n else 0
-    last_one = b.rfind(1) + 1
-    second_after_gap = 0
-    if first_after_gap:
-        j = b.find(1, first_after_gap)  # 0-based index > first_after_gap - 1
-        second_after_gap = j + 1 if j != -1 else 0
-    return (first_after_gap, prefix_end, last_one, second_after_gap)
+    prefix_end = len(b) - len(b.lstrip(b"\x01"))  # 1-based: run covers 1..prefix_end
+    first_after_gap = b.find(1, prefix_end) + 1
+    second_after_gap = b.find(1, first_after_gap) + 1 if first_after_gap else 0
+    return (first_after_gap, prefix_end, b.rfind(1) + 1, second_after_gap)
 
 
 # -- node and result records --------------------------------------------------

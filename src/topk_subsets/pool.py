@@ -1,37 +1,37 @@
 """Candidate pool with an extraction budget and exact instrumentation.
 
-One structure serves every enumeration variant: candidates go in with a
-sum key and the smallest comes out through :meth:`BoundedPool.extract_min`.
-Equal keys come out in insertion order, so results are fully
-deterministic.  When only ``m`` more answers can ever be needed,
-:meth:`BoundedPool.prune_to` declares that budget: at most ``m`` more
-items will be extracted.  The budget may only shrink.
-
-Entries are immutable ``(key, seq, item)`` tuples on one stdlib min heap
-(seq is unique, so items are never compared); an extracted entry is
-popped and released at once.  Pruning is by count: ``prune_to(m)`` drops
-all but ``m`` live entries from the logical size, and every dropped entry
-sits behind at least ``m`` live ones in ``(key, seq)`` order, so none can
-surface within the budget.  The dropped entries leave the heap in bulk:
-once it holds more than ``2m + 64`` entries it is sorted and cut to its
-``m`` smallest (a sorted list is a valid heap).  That is C-level work,
-O(1) amortised per dropped entry, and keeps the heap within about twice
-the budget plus a small slack, so memory follows the live frontier, not
-the total insertions.
+Candidates go in with a sum key; :meth:`BoundedPool.extract_min` returns
+the smallest, equal keys in insertion order, so results are deterministic.
+:meth:`BoundedPool.prune_to` declares that at most ``m`` more items will
+be extracted; the budget may only shrink.  The pool is a bucket queue
+(Dial, 1969): a min heap of the distinct keys and a dict from each key to
+its item, or to a private deque of its tied items, so ties cost a dict
+lookup and no heap comparison.  ``prune_to(m)`` drops all but ``m`` live
+entries from the logical size, each behind at least ``m`` live ones.
+Once more than ``2m + 64`` entries are stored, the buckets are cut after
+the ``m``-th in key order: O(1) amortised per dropped entry, and memory
+within about twice the budget.  A bare entry costs a dict and a heap
+slot, less than a heap tuple; only tied keys pay for a deque (760 bytes).
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Any, Optional
 
 __all__ = ["RunMetrics", "BoundedPool"]
 
-# Entries allowed beyond twice the budget before the heap is cut;
+# Entries allowed beyond twice the budget before the store is cut;
 # keeps tiny pools from sorting on every prune.
 _SLACK = 64
+
+
+class _Bucket(deque):  # the tied items of one key, oldest first
+    __slots__ = ()
 
 
 @dataclass(slots=True)
@@ -56,15 +56,17 @@ class BoundedPool:
     """Min-extraction priority pool with a shrinking extraction budget.
 
     ``metrics`` may be shared with the caller; counters are updated in
-    place and count logical entries only.  Instances are single-threaded.
+    place and count logical entries only.  Keys are hashable and equal
+    keys tie.  Instances are single-threaded.
     """
 
-    __slots__ = ("_heap", "_size", "_seq", "_budget", "metrics")
+    __slots__ = ("_keys", "_buckets", "_size", "_dropped", "_budget", "metrics")
 
     def __init__(self, metrics: Optional[RunMetrics] = None) -> None:
-        self._heap: list = []
+        self._keys: list = []
+        self._buckets: dict = {}
         self._size = 0
-        self._seq = 0
+        self._dropped = 0  # pruned entries still stored
         self._budget = sys.maxsize  # no budget declared yet
         self.metrics = metrics if metrics is not None else RunMetrics()
 
@@ -73,9 +75,14 @@ class BoundedPool:
 
     def insert(self, item: Any, key) -> None:
         """Add an item under a sum key."""
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (key, seq, item))
+        buckets = self._buckets
+        if key not in buckets:
+            buckets[key] = item
+            heappush(self._keys, key)
+        elif type(held := buckets[key]) is _Bucket:
+            held.append(item)
+        else:
+            buckets[key] = _Bucket((held, item))
         size = self._size + 1
         self._size = size
         m = self.metrics
@@ -84,7 +91,7 @@ class BoundedPool:
             m.peak_size = size
 
     def extract_min(self) -> Any:
-        """Remove and return the item with the smallest (key, seq)."""
+        """Remove and return the oldest item of the smallest key."""
         if self._size == 0:
             raise IndexError("extract_min on an empty pool")
         if self._budget == 0:
@@ -92,14 +99,21 @@ class BoundedPool:
         self._budget -= 1
         self._size -= 1
         self.metrics.extractions += 1
-        return heappop(self._heap)[2]
+        keys, buckets = self._keys, self._buckets
+        held = buckets[keys[0]]
+        if type(held) is not _Bucket:
+            del buckets[heappop(keys)]
+            return held
+        if len(held) == 1:
+            del buckets[heappop(keys)]
+        return held.popleft()
 
     def prune_to(self, m: int) -> None:
         """Declare that at most ``m`` more items will be extracted.
 
-        Drops all but ``m`` live entries, the largest by (key, seq).
-        Raises ``ValueError`` when ``m`` is negative or exceeds the budget
-        already declared.
+        Drops all but ``m`` live entries, the latest in (key, insertion)
+        order.  Raises ``ValueError`` when ``m`` is negative or exceeds
+        the budget already declared.
         """
         if not 0 <= m <= self._budget:
             raise ValueError(f"budget {m} is negative or above the current {self._budget}")
@@ -107,8 +121,21 @@ class BoundedPool:
         excess = self._size - m
         if excess > 0:
             self._size = m
+            self._dropped += excess
             self.metrics.prunes += excess
-        heap = self._heap
-        if len(heap) > 2 * m + _SLACK:
-            heap.sort()
-            del heap[m:]
+        if self._size + self._dropped > 2 * m + _SLACK:
+            # keep the m smallest stored entries in (key, insertion) order
+            keys, buckets = self._keys, self._buckets
+            keys.sort()  # a sorted list is a valid heap
+            kept = i = 0
+            while kept < m:
+                held = buckets[keys[i]]
+                kept += len(held) if type(held) is _Bucket else 1
+                i += 1
+            del keys[i:]
+            # a fresh dict, since a dict never shrinks its table on deletion
+            self._buckets = dict(zip(keys, map(buckets.__getitem__, keys)))
+            if kept > m:  # the bucket where m falls keeps its oldest items
+                held = buckets[keys[-1]]
+                self._buckets[keys[-1]] = _Bucket(islice(held, len(held) + m - kept))
+            self._dropped = m - self._size

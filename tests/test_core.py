@@ -474,6 +474,12 @@ class TestCursors:
         with pytest.raises(InputError):
             cursors_from_bits(bytes(3))
 
+    def test_any_non_zero_byte_is_a_member(self):
+        # the contract of positions_from_bits
+        assert cursors_from_bits(b"\x02") == cursors_from_bits(b"\x01") == (0, 1, 1, 0)
+        assert cursors_from_bits(b"\x01\x00\x02") == (3, 1, 3, 0)
+        assert cursors_from_bits(b"\x00\xff\x07\x00\x80") == (2, 0, 5, 3)
+
     def test_first_after_gap_never_one(self):
         # position 1 can never follow a zero run
         for n in range(1, 9):

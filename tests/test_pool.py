@@ -6,7 +6,9 @@ as the reference the enumerator differential compares against.
 
 import gc
 import random
+import tracemalloc
 import weakref
+from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Optional
 from unittest import mock
@@ -163,6 +165,7 @@ def test_enumerators_match_the_reference_pool(case):
     ([0] * 13, 5000),
     ([v % 4 for v in range(16)], 4000),
     (list(range(1, 41)), 3000),
+    ([2 ** i for i in range(40)], 3000),  # every sum distinct: no key ever ties
 ])
 def test_enumerators_match_the_reference_pool_through_many_cuts(vals, k):
     _assert_matches_reference(vals, k)
@@ -402,3 +405,70 @@ def test_pruned_items_are_released():
             # the live entries plus at most live + 64 dropped ones
             assert alive <= 2 * len(pool) + 65
     assert pool.metrics.prunes > 15 * k
+
+
+# -- the bucket layout -------------------------------------------------------------
+
+
+def test_smaller_key_arrives_while_a_tie_bucket_drains():
+    pool = BoundedPool()
+    for item in ("a", "b", "c", "d"):
+        pool.insert(item, 5)
+    assert [pool.extract_min(), pool.extract_min()] == ["a", "b"]
+    pool.insert("low", 2)
+    pool.insert("e", 5)
+    assert [pool.extract_min() for _ in range(4)] == ["low", "c", "d", "e"]
+    assert len(pool) == 0
+
+
+def test_a_cut_inside_a_tie_bucket_keeps_its_oldest_items():
+    pool = BoundedPool()
+    pool.insert(_Node(1), 1)
+    tied = [_Node(5) for _ in range(100)]
+    for node in tied:
+        pool.insert(node, 5)
+    refs = [weakref.ref(node) for node in tied]
+    del tied, node
+    pool.prune_to(10)  # 101 stored > 2 * 10 + 64: cut after the ninth tied item
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [True] * 9 + [False] * 91
+    pool.insert(_Node(5), 5)  # queues behind the kept ones
+    pool.insert(_Node(0), 0)
+    got = [pool.extract_min() for _ in range(10)]
+    assert [node.key for node in got] == [0, 1] + [5] * 8
+    assert got[2:] == [ref() for ref in refs[:8]]
+
+
+def test_a_lone_item_is_promoted_then_drained_to_nothing():
+    # a caller's deque is an item like any other, never taken for a bucket
+    first, second = deque([1]), deque([2])
+    pool = BoundedPool()
+    pool.insert(first, 3)
+    pool.insert(second, 3)
+    assert pool.extract_min() is first
+    assert pool.extract_min() is second
+    with pytest.raises(IndexError, match="empty"):
+        pool.extract_min()
+    pool.insert("again", 3)
+    pool.insert("lower", 2)
+    assert [pool.extract_min(), pool.extract_min()] == ["lower", "again"]
+    assert pool.metrics.total_insertions == pool.metrics.extractions == 4
+
+
+def _stored_bytes(pool_class, keys):
+    pool = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pool = pool_class()
+        for key in keys:
+            pool.insert(key, key)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distinct_keys_cost_no_more_than_the_reference_heap():
+    keys = random.Random(7).sample(range(10 ** 9, 2 * 10 ** 9), 10 ** 4)
+    ours, reference = _stored_bytes(BoundedPool, keys), _stored_bytes(BudgetAdapter, keys)
+    assert ours / len(keys) <= reference / len(keys)
