@@ -456,7 +456,6 @@ def test_a_lone_item_is_promoted_then_drained_to_nothing():
 
 
 def _stored_bytes(pool_class, keys):
-    pool = None
     gc.collect()
     tracemalloc.start()
     try:
