@@ -111,6 +111,9 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot decode input as UTF-8: {exc}", file=sys.stderr)
+        return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
