@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topk_subsets
-from topk_subsets import cli
+from topk_subsets import cli, core
 from topk_subsets.cli import main
 from topk_subsets.core import load_input
 
@@ -300,6 +300,35 @@ class TestInputErrors:
         path.write_text("1.0 nan\n")
         code = main(["topk", "--input", str(path), "--k", "2", "--mode", "float"])
         assert code == 3
+
+    _UNDECODABLE = (
+        "error: cannot decode input as UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 4: invalid start byte\n"
+    )
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"1 2 \xff 3\n")
+        assert main(["topk", "--input", str(path), "--k", "2"]) == 3
+        assert capsys.readouterr() == ("", self._UNDECODABLE)
+
+    def test_undecodable_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"1 2 \xff 3\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["topk", "--k", "2"]) == 3
+        assert capsys.readouterr() == ("", self._UNDECODABLE)
+
+    def test_decode_error_wins_over_an_earlier_bad_token(self, tmp_path, capsys, monkeypatch):
+        # the decoder reads 8 KiB at a time: the 0xff byte lies well past the first
+        # chunk, so the block naming "x" is parsed before the 0xff is decoded
+        data = b"1 x\n" + b"2\n" * 10_000 + b"\xff\n"
+        path = tmp_path / "late.txt"
+        path.write_bytes(data)
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        assert main(["topk", "--input", str(path), "--k", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot decode input as UTF-8: ")
+        with pytest.raises(core.InputError, match="unparseable token 'x'"):
+            load_input(io.StringIO(data[:-2].decode()))
 
 
 class TestVerifyCommand:

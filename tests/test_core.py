@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from enum import IntEnum
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -240,6 +241,62 @@ class TestLoaderMatchesReference:
             load_input("1 2x 3 y")
 
 
+class _ReadLog(io.StringIO):
+    """A text stream that records the size asked for by each read call."""
+
+    def __init__(self, text: str):
+        super().__init__(text, newline="")
+        self.sizes: list = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+class TestBlockReads:
+    @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join),
+           st.sampled_from(["int", "float"]), st.integers(1, 7), st.integers(1, 12))
+    @example("12345\n678 9", "int", 2, 1)  # a block boundary inside a token
+    @example("1 # a comment\n2 3", "int", 3, 1)  # inside a comment
+    @example("1\r\n2\r\n3", "int", 2, 1)  # between "\r" and "\n"
+    @example("3\n1 2 # c\rx\n0 y", "int", 4, 1)  # the first bad token is named
+    def test_tiny_blocks_match_the_reference(self, text, mode, block, k):
+        want = _outcome(lambda: reference_load_input(text, mode))
+        cut = want
+        if isinstance(want, list) and mode == "int":
+            cut = want[: _cut_length(reference_load_input(text, mode), k)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", block)
+            got = _outcome(lambda: load_input(io.StringIO(text, newline=""), mode).values)
+            got_cut = _outcome(
+                lambda: load_input(io.StringIO(text, newline=""), mode, keep=k).values)
+        assert got == want
+        assert got_cut == cut
+
+    @pytest.mark.parametrize("block", [16, core._BLOCK])
+    @pytest.mark.parametrize("text", ["1\n" * 100, "1 x\n" + "2\n" * 100, "5 4 3"],
+                             ids=["lines", "bad-token-first", "one-line"])
+    def test_reads_are_sized_and_reach_the_end(self, text, block, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK", block)
+        stream = _ReadLog(text)
+        _outcome(lambda: load_input(stream).values)
+        assert stream.sizes and all(0 < size <= block for size in stream.sizes)
+        assert stream.tell() == len(text)  # a bad token still drains the stream
+
+    def test_int_load_peaks_at_most_50_bytes_per_value(self):
+        # each value keeps about 36 B; a whole-text split peaks near 100 B per value
+        n = 200_000
+        # distinct ints above the small-int cache, in a scrambled order
+        stream = io.StringIO("\n".join(str(10**6 + i * 7919 % n) for i in range(n)))
+        tracemalloc.start()
+        try:
+            load_input(stream, keep=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * n
+
+
 # -- answer-bounded load (keep=k) ----------------------------------------------
 
 
@@ -369,6 +426,19 @@ class TestAcceptPathHasNoPerValueLoop:
         small = _core_line_events(lambda: load_input(" ".join(map(str, range(20, 0, -1))), keep=1))
         lines = "\n".join(f"{v} # c" for v in range(2000, 0, -1))
         assert _core_line_events(lambda: load_input(lines, keep=1)) == small
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_load_input_grows_per_block(self, mode, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK", 4096)
+        line = "{} # abcde\n"  # 16 characters: 256 values fill one block
+
+        def events(blocks):
+            text = "".join(line.format(10**6 + i) for i in range(256 * blocks, 0, -1))
+            return _core_line_events(lambda: load_input(io.StringIO(text), mode))
+
+        counts = [events(blocks) for blocks in (1, 2, 3, 4)]
+        steps = {b - a for a, b in zip(counts, counts[1:])}
+        assert len(steps) == 1 and 0 < steps.pop() < 256
 
     def test_input_set(self):
         small = _core_line_events(lambda: InputSet((1, 2)))
