@@ -1,10 +1,10 @@
 """Command-line surface: query, verify, benchmark, and DAG export.
 
 Exit codes: 0 success (including a truncated answer, which adds a notice
-on stderr), 2 bad flags or flag combinations, 3 unusable input data.
-``topk`` exits 141 (128 + SIGPIPE, what a shell reports for a filter
-killed by a closed pipe) without a traceback when its stdout is closed
-before the last line, as in ``topk ... | head``.
+on stderr), 2 bad flags or an output file that cannot be written, 3
+unusable input data.  ``topk`` exits 141 (128 + SIGPIPE, what a shell
+reports for a filter killed by a closed pipe) without a traceback when
+its stdout is closed before the last line, as in ``topk ... | head``.
 """
 
 from __future__ import annotations
@@ -99,11 +99,23 @@ def _parse_algos(parser: argparse.ArgumentParser, text: str) -> list[Variant]:
     return out
 
 
+def _write_file(path: str, text: str) -> bool:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "deltas" and args.algo != "compact":
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
     try:
         if args.input == "-":
+            if hasattr(sys.stdin, "reconfigure"):  # decoded as open() decodes a file
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
             r = load_input(sys.stdin, args.mode, keep=args.k)
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -123,7 +135,6 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "subsets" and args.algo == "compact":
         stream = expand_deltas(stream)
 
-    emitted = 0
     try:
         for item in stream:
             if args.output == "sums":
@@ -138,7 +149,6 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 added = "-" if d.added is None else str(d.added)
                 out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
             out.flush()
-            emitted += 1
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so the interpreter's
         # final flush of the unwritten buffer cannot fail a second time.
@@ -147,14 +157,12 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         os.close(devnull)
         return 141
 
+    emitted = metrics.extractions
     if args.metrics:
-        with open(args.metrics, "w", encoding="ascii") as fh:
-            fh.write(f"total_insertions={metrics.total_insertions}\n")
-            fh.write(f"peak_size={metrics.peak_size}\n")
-            fh.write(f"extractions={metrics.extractions}\n")
-            fh.write(f"prunes={metrics.prunes}\n")
-            fh.write(f"elapsed_ns={metrics.elapsed_ns}\n")
-            fh.write(f"reported_count={emitted}\n")
+        names = ("total_insertions", "peak_size", "extractions", "prunes", "elapsed_ns")
+        text = "".join(f"{name}={getattr(metrics, name)}\n" for name in names)
+        if not _write_file(args.metrics, f"{text}reported_count={emitted}\n"):
+            return 2
     # A cut load (k + 1 < n) never gets here: it keeps m + 1 >= k + 1 values,
     # which form more than k subsets, so r.n in the notice is the full n.
     if emitted < args.k:
@@ -250,8 +258,8 @@ def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             lines.append(f'  "{pattern}" -> "{child_pattern}" [label="{edge.value}"];')
             edge_count += 1
     lines.append("}")
-    with open(args.dot, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if not _write_file(args.dot, "\n".join(lines) + "\n"):
+        return 2
     print(f"nodes={node_count} edges={edge_count} -> {args.dot}")
     return 0
 

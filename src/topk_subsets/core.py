@@ -25,11 +25,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from operator import itemgetter, le, methodcaller, mul
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -44,6 +44,7 @@ __all__ = [
     "Delta",
     "RankedSubset",
     "load_input",
+    "answer_width",
     "validate_positions",
     "unscale",
     "sum_of",
@@ -179,13 +180,9 @@ def load_input(
     negative values, and integer inputs that could overflow 64-bit sums
     are rejected.
 
-    ``keep=k`` loads only what the k smallest subset sums can use.  The k
-    singletons are k distinct subsets, so the k-th smallest sum is at most
-    v_k, the k-th smallest value.  With m the last position whose value
-    equals v_k, every value past m exceeds v_k, so no answer contains
-    position m+1 or later.  The set returned holds the m+1 smallest values
-    (all of them when m+1 >= n): position m+1 stays so that every
-    successor rule tests its bound ``p < n`` as it would on the full set.
+    ``keep=k`` loads only what the k smallest subset sums can use: the
+    :func:`answer_width` smallest values, m+1 with m the last position
+    equal to v_k, the k-th smallest value (all of them when m+1 >= n).
     The cut applies in int mode only: a float parse accepts ``inf`` and
     ``nan``, so a float cut would need a finiteness scan of every value
     first.  Every verdict is reached over the full input, so errors and
@@ -193,26 +190,28 @@ def load_input(
     that fails the 63-bit guard (full n and maximum) is loaded uncut, and
     the prefix holds the global minimum, which the sign check looks at.
 
-    The source is read ``_BLOCK`` characters at a time (a string through
-    ``io.StringIO``).  Each block is cut after its last ``\\n``, which ends
+    The source is taken ``_BLOCK`` characters at a time: a string is
+    sliced, not wrapped in a stream, so it is never copied whole, and a
+    stream is read.  Each block is cut after its last ``\\n``, which ends
     every comment and every token; the rest is carried into the next
     block.  So memory peaks at the value list plus one block's tokens, not
     at the text and a token list of the whole input; a long text with no
     ``\\n`` is carried whole, which stays correct.  After a bad token the
-    rest of the stream is still read, so a read or decode error later in
+    rest of the blocks are still taken, so a read or decode error later in
     the input is raised in its place, as with a single ``read()``.
     """
     if keep is not None and keep < 1:
         raise ValueError("keep must be >= 1")
-    stream = io.StringIO(source) if isinstance(source, str) else source
+    blocks = ((source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
+              if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""))
     parse = int if mode == "int" else float
     values: list[Number] = []
     tail = ""
-    while block := stream.read(_BLOCK):
+    for block in blocks:
         cut = block.rfind("\n") + 1  # 0: no "\n", the whole block is carried
-        _parse_into(values, parse, tail + block[:cut] if cut else "", stream)
+        _parse_into(values, parse, tail + block[:cut] if cut else "", blocks)
         tail = block[cut:] if cut else tail + block
-    _parse_into(values, parse, tail, stream)
+    _parse_into(values, parse, tail, blocks)
     if not values:
         raise InputError("empty input: no values found")
     n = len(values)
@@ -222,7 +221,7 @@ def load_input(
     return InputSet(tuple(values), mode)
 
 
-def _parse_into(values: list, parse, text: str, stream: IO[str]) -> None:
+def _parse_into(values: list, parse, text: str, blocks: Iterator[str]) -> None:
     """Append the parsed tokens of ``text``, comments stripped, to ``values``."""
     tokens = _COMMENT.sub("", text).split()
     try:
@@ -233,7 +232,7 @@ def _parse_into(values: list, parse, text: str, stream: IO[str]) -> None:
             try:
                 parse(tok)
             except ValueError:
-                while stream.read(_BLOCK):
+                for _ in blocks:  # drained, so a later decode error wins
                     pass
                 raise InputError(f"unparseable token {tok!r}") from None
         raise
@@ -255,12 +254,22 @@ def _answer_prefix(values: list, keep: int) -> list:
     kept = list(filter(sample[min(i + 8 + i // 8, len(sample) - 1)].__ge__, values))
     if len(kept) > keep:
         kept.sort()
-        m = bisect_right(kept, kept[keep - 1])
-        if m < len(kept):
-            return kept[: m + 1]
+        width = answer_width(kept, keep)
+        if width <= len(kept):
+            return kept[:width]
     del kept
     values.sort()
-    return values[: bisect_right(values, values[keep - 1]) + 1]
+    return values[: answer_width(values, keep)]
+
+
+def answer_width(values: Sequence, k: int) -> int:
+    """m+1, m the last position of sorted ``values`` equal to v_k (1 <= k <= n).
+
+    The k singletons bound the k-th smallest subset sum by v_k, and every
+    value past m exceeds v_k, so no answer uses a position past m.  m+1
+    counts too, so that successor rules test ``p < n`` as on the full set.
+    """
+    return bisect_right(values, values[k - 1]) + 1
 
 
 def validate_positions(positions: Sequence[int], n: int) -> None:

@@ -39,13 +39,12 @@ exact sums; its records carry them rounded once to floats (``unscale``).
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
-from .core import (Delta, InputSet, RankedSubset, SubsetPositions, mask_from_positions,
-                   positions_from_bits, unscale)
+from .core import (Delta, InputSet, RankedSubset, SubsetPositions, answer_width,
+                   mask_from_positions, positions_from_bits, unscale)
 from .pool import BoundedPool, RunMetrics
 from .shifts import (
     bit_root,
@@ -188,10 +187,8 @@ def topk(
                            _positions_record, itemgetter(1), expand_all=True)
     if variant is Variant.DEDUP_HEAP:
         n = r.n
-        if k_eff < n:
-            # as load_input(keep=k): no answer uses a position past m + 1, m the
-            # last position equal to v_k, and incr edges would add them all
-            n = min(n, bisect_right(r.values, r.values[k_eff - 1]) + 1)
+        if k_eff < n:  # incr edges would add every position past the answer width
+            n = min(n, answer_width(r.values, k_eff))
         return _best_first(r, k_eff, ((1,), r.exact[0]), _dedup_successors(n),
                            _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:

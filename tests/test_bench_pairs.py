@@ -11,12 +11,12 @@ spec.loader.exec_module(bench_pairs)
 PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # IQR 5.5
 
 
-def entries(workload, rate, time):
-    """Ten seeds per side, as ``run_side`` tags them; the parent reads PARENT."""
+def entries(workload, rate, time, parent=PARENT):
+    """Ten seeds per side, as ``run_side`` tags them; the parent reads ``parent``."""
     return [
         {"side": side, "workload": workload, "seed": seed,
          "metrics": {"rate": rates[i], "time": times[i]}}
-        for side, rates, times in (("parent", PARENT, PARENT), ("change", rate, time))
+        for side, rates, times in (("parent", parent, parent), ("change", rate, time))
         for i, seed in enumerate(range(2, 12))
     ]
 
@@ -41,3 +41,26 @@ def test_summary_gives_one_verdict_per_metric_and_workload(capsys):
     ]
     assert "change better in 9/10" in lines[0]
     assert "change better in 10/10" in lines[5]
+
+
+WIDE = [60, 70, 80, 90, 100, 110, 120, 130, 140, 150]  # IQR 55, over 0.25 * median 105
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(capsys):
+    runs = (
+        # every pair won by 5, inside the spread: unresolved, not same
+        entries("wide", [v + 5 for v in WIDE], [v - 5 for v in WIDE], parent=WIDE)
+        # every change run beats every parent run; time gains by less than the IQR
+        + entries("clear", [v + 100 for v in WIDE], list(range(50, 60)), parent=WIDE)
+        # worse keeps its rule and comes first
+        + entries("slow", [v * 0.5 for v in WIDE], [v * 1.5 for v in WIDE], parent=WIDE)
+    )
+    metrics = [{"name": "rate", "better": "higher", "bound": 0.25},
+               {"name": "time", "better": "lower", "bound": 0.25}]
+    bench_pairs.summarize(runs, ["wide", "clear", "slow"], metrics)
+    lines = capsys.readouterr().out.splitlines()
+    assert [(line.split()[0], line.split()[1], line.split()[-1]) for line in lines] == [
+        ("wide", "rate", "unresolved"), ("wide", "time", "unresolved"),
+        ("clear", "rate", "gain"), ("clear", "time", "same"),
+        ("slow", "rate", "worse"), ("slow", "time", "worse"),
+    ]

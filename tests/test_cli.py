@@ -72,6 +72,15 @@ class TestTopkCommand:
         out, _ = run_ok(["topk", "--k", "2"], capsys)
         assert out == "1\t1\n2\t5\n"
 
+    def test_stdin_is_reconfigured_as_a_file_is_opened(self, capsys, monkeypatch):
+        # a locale-decoded stdin, as under the C locale: strict UTF-8, universal newlines
+        stdin = io.TextIOWrapper(io.BytesIO(b"3\r1\r2"), encoding="latin-1",
+                                 errors="surrogateescape", newline="\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        out, _ = run_ok(["topk", "--k", "2"], capsys)
+        assert out == "1\t1\n2\t2\n"
+        assert (stdin.encoding, stdin.errors, stdin.newlines) == ("utf-8", "strict", "\r")
+
     def test_float_mode(self, tmp_path, capsys):
         path = tmp_path / "f.txt"
         path.write_text("0.5 0.25\n")
@@ -99,6 +108,14 @@ class TestTopkCommand:
         }
         assert pairs["extractions"] == pairs["reported_count"] == "15"
         assert int(pairs["elapsed_ns"]) > 0
+
+    def test_unwritable_metrics_path(self, tmp_path, capsys, monkeypatch):
+        # the answers are on stdout before the metrics file is opened
+        path = tmp_path / "missing" / "m.txt"
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 7"))
+        assert main(["topk", "--k", "2", "--metrics", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "1\t3\n2\t7\n", f"error: cannot write {path}: No such file or directory\n")
 
     def test_truncation_notice(self, tmp_path, capsys):
         path = tmp_path / "three.txt"
@@ -318,6 +335,22 @@ class TestInputErrors:
         assert main(["topk", "--k", "2"]) == 3
         assert capsys.readouterr() == ("", self._UNDECODABLE)
 
+    @pytest.mark.parametrize("data", [b"1 2 # \xff\n3\n", b"1 2 \xff 3\n", b"3\r1\r2"],
+                             ids=["in-a-comment", "in-a-token", "cr-only"])
+    def test_stdin_is_decoded_as_a_file_is(self, tmp_path, data):
+        # under the C locale Python's own stdin would replace bad bytes, not reject them
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        env = dict(os.environ, LC_ALL="C",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(topk_subsets.__file__)))
+        env.pop("PYTHONIOENCODING", None)
+        argv = [sys.executable, "-m", "topk_subsets.cli", "topk", "--k", "2"]
+        runs = [subprocess.run(argv + extra, input=data, capture_output=True, env=env, timeout=60)
+                for extra in ([], ["--input", str(path)])]
+        stdin, file = [(run.returncode, run.stdout, run.stderr) for run in runs]
+        assert stdin == file
+        assert file[0] == (0 if data == b"3\r1\r2" else 3)
+
     def test_decode_error_wins_over_an_earlier_bad_token(self, tmp_path, capsys, monkeypatch):
         # the decoder reads 8 KiB at a time: the 0xff byte lies well past the first
         # chunk, so the block naming "x" is parsed before the 0xff is decoded
@@ -409,6 +442,12 @@ class TestDagCommand:
         dot = tmp_path / f"n{n}.dot"
         run_ok(["dag", "--n", str(n), "--dot", str(dot)], capsys)
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
+    def test_unwritable_dot_path(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.dot"
+        assert main(["dag", "--n", "3", "--dot", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: No such file or directory\n")
 
     def test_single_node(self, tmp_path, capsys):
         dot = tmp_path / "n1.dot"

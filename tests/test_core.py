@@ -267,11 +267,9 @@ class TestBlockReads:
             cut = want[: _cut_length(reference_load_input(text, mode), k)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_BLOCK", block)
-            got = _outcome(lambda: load_input(io.StringIO(text, newline=""), mode).values)
-            got_cut = _outcome(
-                lambda: load_input(io.StringIO(text, newline=""), mode, keep=k).values)
-        assert got == want
-        assert got_cut == cut
+            for source in (lambda: io.StringIO(text, newline=""), lambda: text):
+                assert _outcome(lambda: load_input(source(), mode).values) == want
+                assert _outcome(lambda: load_input(source(), mode, keep=k).values) == cut
 
     @pytest.mark.parametrize("block", [16, core._BLOCK])
     @pytest.mark.parametrize("text", ["1\n" * 100, "1 x\n" + "2\n" * 100, "5 4 3"],
@@ -283,14 +281,16 @@ class TestBlockReads:
         assert stream.sizes and all(0 < size <= block for size in stream.sizes)
         assert stream.tell() == len(text)  # a bad token still drains the stream
 
-    def test_int_load_peaks_at_most_50_bytes_per_value(self):
-        # each value keeps about 36 B; a whole-text split peaks near 100 B per value
+    @pytest.mark.parametrize("make", [io.StringIO, str], ids=["stream", "str"])
+    def test_int_load_peaks_at_most_50_bytes_per_value(self, make):
+        # each value keeps about 36 B; a whole-text split peaks near 100 B per value,
+        # and a string copied into a stream adds 4 B per character
         n = 200_000
         # distinct ints above the small-int cache, in a scrambled order
-        stream = io.StringIO("\n".join(str(10**6 + i * 7919 % n) for i in range(n)))
+        source = make("\n".join(str(10**6 + i * 7919 % n) for i in range(n)))
         tracemalloc.start()
         try:
-            load_input(stream, keep=1)
+            load_input(source, keep=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,12 +15,19 @@ checkout, and a change side whose ``src/`` differs from HEAD records
 ``commit: null`` (its ``source_sha256`` names the code).  Then prints each
 side's median [quartiles] of every end-to-end metric, the pairs the
 change won and a verdict, and the ``src/`` line count of both sides.  The
-verdict is ``worse`` when the change's median is worse than the parent's
-by more than the metric's ``BENCHMARK.json`` bound (a fraction of the
-parent's median), ``gain`` when the change wins at least 9 in 10 pairs
-and its median beats the parent's by more than the parent's interquartile
-range, and ``same`` otherwise.  The worktree is removed on exit; nothing
-is written under ``perfbench/``.
+verdict is the first of these that holds:
+
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``BENCHMARK.json`` bound (a fraction of the parent's
+  median);
+* ``unresolved``: the parent's interquartile range is wider than that
+  bound, so the runs cannot show a change inside it, and not every change
+  run beats every parent run;
+* ``gain``: the change wins at least 9 in 10 pairs and its median beats
+  the parent's by more than the parent's interquartile range;
+* ``same``.
+
+The worktree is removed on exit; nothing is written under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -85,8 +92,11 @@ def summarize(entries: list, workloads: list, metrics: list) -> None:
             median = statistics.median(parent)
             gap = sign * (statistics.median(change) - median)  # > 0: the change is better
             q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
-            if -gap > metric["bound"] * abs(median):
+            bound = metric["bound"] * abs(median)
+            if -gap > bound:
                 verdict = "worse"
+            elif q3 - q1 > bound and min(sign * v for v in change) <= max(sign * v for v in parent):
+                verdict = "unresolved"
             elif 10 * wins >= 9 * len(parent) and gap > q3 - q1:
                 verdict = "gain"
             else:
