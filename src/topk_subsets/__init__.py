@@ -11,7 +11,6 @@ Quick use::
 """
 
 from .core import (
-    CompactNode,
     Delta,
     InputError,
     InputSet,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundedPool",
-    "CompactNode",
     "Delta",
     "EdgeType",
     "InputError",

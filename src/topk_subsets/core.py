@@ -19,8 +19,7 @@ Conventions used throughout the package:
   - ``last_one``: position of the rightmost 1, always in ``[1, n]``.
   - ``second_after_gap``: position of the first 1 strictly after
     ``first_after_gap``, or 0 when there is none or ``first_after_gap``
-    is itself 0.  Both node forms carry it: a bit-vector node is a
-    :class:`CompactNode` with its pattern (bytes) appended as ``node[9]``.
+    is itself 0.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "OverflowRiskError",
     "InputSet",
     "SubsetPositions",
-    "CompactNode",
     "Delta",
     "RankedSubset",
     "load_input",
@@ -341,27 +339,7 @@ def cursors_from_bits(b: bytes) -> tuple[int, int, int, int]:
     return (first_after_gap, prefix_end, b.rfind(1) + 1, second_after_gap)
 
 
-# -- node and result records --------------------------------------------------
-
-
-class CompactNode(NamedTuple):
-    """Frontier node in cursor-only form: constant space, no pattern.
-
-    The subset itself is recoverable only through the delta chain
-    (``parent_rank``, ``removed``, ``added``), replayed by
-    :func:`expand_deltas`.  ``parent_rank`` is the emission rank of the
-    node's unique parent (None for the root).
-    """
-
-    first_after_gap: int
-    prefix_end: int
-    last_one: int
-    second_after_gap: int
-    size: int
-    total: Number
-    parent_rank: "int | None"
-    removed: "int | None"
-    added: "int | None"
+# -- result records ----------------------------------------------------------
 
 
 class Delta(NamedTuple):

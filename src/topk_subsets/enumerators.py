@@ -113,7 +113,7 @@ def _positions_record(rank: int, node: tuple) -> RankedSubset:
 
 
 def _bitvec_record(rank: int, node) -> RankedSubset:
-    # node[9] is the pattern a bit-vector node appends to its compact fields.
+    # node[5] is the exact total and node[9] the pattern (layout in shifts).
     # Decoding scans all n bytes per record in Python: that is the paper's
     # O(n) retrieval, which acceptance tests 5-6 measure against compact.  A
     # C-level bytes.find scan hides the n in the constant and fails both.
@@ -121,7 +121,7 @@ def _bitvec_record(rank: int, node) -> RankedSubset:
 
 
 def _delta_record(rank: int, node) -> RankedSubset:
-    # node[5] is CompactNode.total, node[6:] its (parent_rank, removed, added)
+    # node[5] is the exact total, node[6:] the (parent_rank, removed, added) edge
     return _new(RankedSubset, (rank, node[5], None, _new(Delta, node[6:])))
 
 

@@ -8,12 +8,21 @@ which every non-root subset has exactly one parent and every node has at
 most two children.  Walking that DAG best-first enumerates subsets in
 non-decreasing sum order without any duplicate suppression.
 
+A node is a plain tuple, laid out once here:
+
+* 0-3: the cursors ``first_after_gap``, ``prefix_end``, ``last_one``,
+  ``second_after_gap`` defined in :mod:`topk_subsets.core`;
+* 4: the size, 5: the exact total;
+* 6-8: ``(parent_rank, removed, added)``, the edge from the node's one
+  parent, stamped with its emission rank (None, None, 1 at the root);
+* 9: the pattern (bytes, one per position), on bit-vector nodes only.
+
 There is one successor rule, :func:`compact_children`: it updates the
-cursor quadruple of a :class:`CompactNode` in O(1) per child and emits a
-(removed, added) delta instead of a pattern.  The bit-vector form is a
-compact node with its pattern appended: :func:`final_dag_children` runs
-the same rule and patches a copy of the parent's pattern with each
-child's delta, O(n) per child.
+cursors in O(1) per child and emits a (removed, added) delta instead of a
+pattern, which :func:`topk_subsets.core.expand_deltas` replays.  A
+bit-vector node is a compact node with its pattern appended:
+:func:`final_dag_children` runs the same rule and patches a copy of the
+parent's pattern with each child's delta, O(n) per child.
 
 The edge names match the DOT export: ``Type1`` moves the first 1 after
 the leading zero run one step right, ``Type2`` moves the last 1 of the
@@ -27,7 +36,7 @@ from collections import deque
 from enum import Enum
 from typing import Iterator
 
-from .core import CompactNode, InputSet, SubsetPositions, cursors_from_bits, positions_from_bits
+from .core import InputSet, SubsetPositions, cursors_from_bits, positions_from_bits
 
 __all__ = [
     "EdgeType",
@@ -86,48 +95,38 @@ def mandatory_static_children(
 # -- the successor rule --------------------------------------------------------
 
 
-def compact_root(r: InputSet) -> CompactNode:
+def compact_root(r: InputSet) -> tuple:
     """The singleton {1} with a root delta that adds position 1."""
-    return CompactNode(0, 1, 1, 0, 1, r.exact[0], None, None, 1)
+    return (0, 1, 1, 0, 1, r.exact[0], None, None, 1)
 
 
-# nodes skip the Python-level NamedTuple __new__, which runs once per child
-_new = tuple.__new__
-
-
-def compact_children(node: CompactNode, r: InputSet, parent_rank: int) -> list[CompactNode]:
+def compact_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple]:
     """The children of node in the final DAG, at most two, in Type1, Type2, Incr order.
 
-    Type1 moves first_after_gap (at 2..n-1) right onto a free slot, seen
-    as ``second_after_gap != first_after_gap + 1``.  Type2 moves
-    prefix_end (at 1..n-1) right; the slot is free by run maximality, and
-    the old first_after_gap becomes second_after_gap.  Incr sets position
-    1 on a pattern 01..10..0, the only edge into the next size layer.
-    ``parent_rank`` is stamped into each child's delta, which names the
-    edge: Incr removes nothing, Type1 the parent's first_after_gap, Type2
-    its prefix_end.
+    Type1 moves first_after_gap ``node[0]`` (at 2..n-1) right onto a free
+    slot, seen as second_after_gap ``node[3] != node[0] + 1``.  Type2
+    moves prefix_end ``node[1]`` (at 1..n-1) right; the slot is free by
+    run maximality, and the old ``node[0]`` becomes the child's field 3.
+    Incr sets position 1 on a pattern 01..10..0, the only edge into the
+    next size layer.  ``parent_rank`` fills each child's field 6, and its
+    fields 7-8, (removed, added), name the edge: Incr removes nothing,
+    Type1 the parent's ``node[0]``, Type2 its ``node[1]``.
     """
     # one unpack instead of repeated field gets: this runs once per extraction
     fag, pe, last, sag, size, total = node[:6]
     values = r.exact
     n = len(values)
-    out: list[CompactNode] = []
+    out: list[tuple] = []
     if 1 < fag < n and sag != fag + 1:
         moved_last = last + 1 if last == fag else last
-        out.append(_new(CompactNode, (
-            fag + 1, pe, moved_last, sag, size,
-            total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1,
-        )))
+        out.append((fag + 1, pe, moved_last, sag, size,
+                    total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1))
     if 1 <= pe < n:
         moved_last = pe + 1 if last == pe else last
-        out.append(_new(CompactNode, (
-            pe + 1, pe - 1, moved_last, fag, size,
-            total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1,
-        )))
+        out.append((pe + 1, pe - 1, moved_last, fag, size,
+                    total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1))
     if fag == 2 and pe == 0 and last == size + 1:
-        out.append(_new(CompactNode, (
-            0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1,
-        )))
+        out.append((0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1))
     return out
 
 

@@ -1,6 +1,7 @@
-"""The verdicts of ``tools/bench_pairs.py`` on synthetic run records."""
+"""The verdicts of ``tools/bench_pairs.py`` on synthetic run records, and its failure path."""
 
 import importlib.util
+import json
 import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -64,3 +65,31 @@ def test_a_spread_wider_than_the_bound_is_unresolved(capsys):
         ("clear", "rate", "gain"), ("clear", "time", "same"),
         ("slow", "rate", "worse"), ("slow", "time", "worse"),
     ]
+
+
+def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def run_side(side, root, workload, seed, seconds):
+        calls.append((side, workload, seed, seconds))
+        if len(calls) == 3:
+            raise bench_pairs.subprocess.CalledProcessError(1, ["perfbench/run.py"])
+        return {"side": side, "workload": workload, "seed": seed}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["BASE", "10", str(out)]) == 1
+    # the run length is BENCHMARK.json's; seed 2 runs the parent side first
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    first, second = (w["name"] for w in spec["workloads"][:2])
+    assert calls == [("parent", first, 2, spec["run_seconds"]),
+                     ("change", first, 2, spec["run_seconds"]),
+                     ("parent", second, 2, spec["run_seconds"])]
+    assert json.loads(out.read_text()) == [
+        {"side": "parent", "workload": first, "seed": 2},
+        {"side": "change", "workload": first, "seed": 2},
+    ]
+    captured = capsys.readouterr()
+    assert f"parent {second} seed=2 failed" in captured.err
+    assert captured.out == ""

@@ -264,12 +264,8 @@ class TestBitRules:
 class TestCompactForm:
     def test_root(self):
         r = InputSet.from_values((2, 5, 9))
-        root = compact_root(r)
-        assert (root.first_after_gap, root.prefix_end, root.last_one) == (0, 1, 1)
-        assert root.second_after_gap == 0
-        assert root.size == 1 and root.total == 2
-        assert root.parent_rank is None
-        assert (root.removed, root.added) == (None, 1)
+        # cursors 0, 1, 1, 0; size 1; total 2; no parent, adds position 1
+        assert compact_root(r) == (0, 1, 1, 0, 1, 2, None, None, 1)
 
     def test_blocked_move_detected_without_bits(self):
         # pattern 0110: the candidate landing slot is occupied, which the
@@ -278,7 +274,7 @@ class TestCompactForm:
 
         def follow(node, rank, removed):
             return next(
-                c for c in compact_children(node, r, rank) if c.removed == removed
+                c for c in compact_children(node, r, rank) if c[7] == removed
             )
 
         # root 1000 -T2-> 0100 -Incr-> 1100 -T2-> 1010 -T2-> 0110; a move
@@ -288,10 +284,25 @@ class TestCompactForm:
         node = follow(node, 2, None)
         node = follow(node, 3, 2)
         node = follow(node, 4, 1)
-        assert (node.first_after_gap, node.second_after_gap) == (2, 3)
+        assert (node[0], node[3]) == (2, 3)  # first_after_gap, second_after_gap
 
-        deltas = [(c.removed, c.added) for c in compact_children(node, r, 5)]
+        deltas = [c[7:9] for c in compact_children(node, r, 5)]
         assert deltas == [(None, 1)]  # growth only
+
+    def test_every_node_is_a_plain_tuple(self):
+        # one node shape: 9 fields, 10 with the pattern, and no tuple subclass
+        r = InputSet.from_values((1, 2, 3, 4))
+        assert type(bit_root(r)) is tuple and len(bit_root(r)) == 10
+        for node, children in walk_final_dag(4):
+            for c in [node] + final_dag_children(node, r, 1):
+                assert type(c) is tuple and len(c) == 10
+        stack, count = [compact_root(r)], 0
+        while stack:
+            node = stack.pop()
+            assert type(node) is tuple and len(node) == 9
+            stack.extend(compact_children(node, r, 1))
+            count += 1
+        assert count == 15
 
 
 def test_final_dag_report_checks_compact_deltas(monkeypatch):
@@ -300,14 +311,14 @@ def test_final_dag_report_checks_compact_deltas(monkeypatch):
     def skewed(node, r, parent_rank):
         # moves claim to remove the landing slot instead of the one they leave
         return [
-            c if c.removed is None else c._replace(removed=c.added)
+            c if c[7] is None else c[:7] + (c[8], c[8])
             for c in real(node, r, parent_rank)
         ]
 
     monkeypatch.setattr(shifts, "compact_children", skewed)
     problems = final_dag_report(4)
-    assert problems
-    assert "!= position rule" in problems[0]
+    # the pattern patch sets the landing slot and keeps the slot it left
+    assert problems[0] == "1000: children [((1, 2), 'Type2')] != position rule [((2,), 'Type2')]"
 
 
 def test_final_dag_report_checks_dropped_children(monkeypatch):
@@ -315,7 +326,7 @@ def test_final_dag_report_checks_dropped_children(monkeypatch):
 
     def no_type2(node, r, parent_rank):
         # Type2 removes the parent's prefix_end, never its first_after_gap
-        return [c for c in real(node, r, parent_rank) if c.removed in (None, node[0])]
+        return [c for c in real(node, r, parent_rank) if c[7] in (None, node[0])]
 
     monkeypatch.setattr(shifts, "compact_children", no_type2)
     assert final_dag_report(4) == ["1000: children [] != position rule [((2,), 'Type2')]"]
@@ -325,7 +336,7 @@ def test_final_dag_report_checks_child_totals(monkeypatch):
     real = shifts.compact_children
 
     def heavy(node, r, parent_rank):
-        return [c._replace(total=c.total + 1) for c in real(node, r, parent_rank)]
+        return [c[:5] + (c[5] + 1,) + c[6:] for c in real(node, r, parent_rank)]
 
     monkeypatch.setattr(shifts, "compact_children", heavy)
     assert final_dag_report(4)[0] == "0100: stored total diverges from direct sum"

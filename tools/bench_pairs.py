@@ -5,9 +5,10 @@ Usage::
     python3 tools/bench_pairs.py BASE_REV PAIRS OUT
 
 For seeds 2..PAIRS+1 and each workload in ``BENCHMARK.json``, runs
-``perfbench/run.py --workload W --seed S --seconds 25 --trace 0`` once in a
-detached git worktree of BASE_REV ("parent") and once in the working tree
-("change"), alternating which side runs first from one seed to the next.
+``perfbench/run.py --workload W --seed S --seconds T --trace 0``, T being
+its ``run_seconds``, once in a detached git worktree of BASE_REV
+("parent") and once in the working tree ("change"), alternating which
+side runs first from one seed to the next.
 Each run's ``record.json`` is tagged with its side and written to OUT as a
 JSON list, in the format of the committed ``BENCH_*.json`` files: the
 interpreter path is dropped, ``module`` is relative to the measured
@@ -27,7 +28,10 @@ verdict is the first of these that holds:
   the parent's by more than the parent's interquartile range;
 * ``same``.
 
-The worktree is removed on exit; nothing is written under ``perfbench/``.
+When a perfbench run fails, the runs before it are still written to OUT,
+the failed side, workload and seed are printed to stderr, and the exit
+status is 1, with no summary.  The worktree is removed on exit; nothing
+is written under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_side(side: str, root: str, workload: str, seed: int) -> dict:
+def run_side(side: str, root: str, workload: str, seed: int, seconds: int) -> dict:
     print(f"{side} {workload} seed={seed}", file=sys.stderr, flush=True)
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-                    str(seed), "--seconds", "25", "--trace", "0"],
+                    str(seed), "--seconds", str(seconds), "--trace", "0"],
                    cwd=root, check=True, stdout=subprocess.DEVNULL)
     path = os.path.join(root, ".perfbench_work", f"{workload}-trace0", "record.json")
     with open(path, encoding="utf-8") as fh:
@@ -113,21 +117,29 @@ def main(argv: list) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
-    entries = []
+    entries, failed = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         base = os.path.join(tmp, "base")
         git("worktree", "add", "--detach", base, base_rev)
         try:
             lines = src_lines(base), src_lines(ROOT)
-            for seed in range(2, pairs + 2):
-                for workload in workloads:
-                    sides = [("parent", base), ("change", ROOT)]
-                    for side, root in sides if seed % 2 == 0 else sides[::-1]:
-                        entries.append(run_side(side, root, workload, seed))
+            sides = [("parent", base), ("change", ROOT)]
+            runs = [(side, root, workload, seed)
+                    for seed in range(2, pairs + 2) for workload in workloads
+                    for side, root in (sides if seed % 2 == 0 else sides[::-1])]
+            for side, root, workload, seed in runs:
+                try:
+                    entries.append(run_side(side, root, workload, seed, spec["run_seconds"]))
+                except subprocess.CalledProcessError as exc:
+                    failed = f"{side} {workload} seed={seed} failed: {exc}"
+                    break
         finally:
             git("worktree", "remove", "--force", base)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
+    if failed:
+        print(f"{failed}\n{len(entries)} earlier runs written to {out}", file=sys.stderr)
+        return 1
     summarize(entries, workloads, spec["end_to_end"])
     print(f"src/ lines: parent {lines[0]} -> change {lines[1]}")
     return 0
