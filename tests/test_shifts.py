@@ -293,8 +293,8 @@ class TestCompactForm:
         # one node shape: 9 fields, 10 with the pattern, and no tuple subclass
         r = InputSet.from_values((1, 2, 3, 4))
         assert type(bit_root(r)) is tuple and len(bit_root(r)) == 10
-        for node, children in walk_final_dag(4):
-            for c in [node] + final_dag_children(node, r, 1):
+        for node, children in walk_final_dag(4):  # final_dag_children from bit_root
+            for c in [node] + [child for child, _ in children]:
                 assert type(c) is tuple and len(c) == 10
         stack, count = [compact_root(r)], 0
         while stack:
