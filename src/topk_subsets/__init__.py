@@ -18,22 +18,17 @@ from .core import (
     OverflowRiskError,
     RankedSubset,
     SubsetPositions,
-    cursors_from_bits,
     expand_deltas,
     load_input,
-    sum_of,
 )
 from .enumerators import Variant, topk
 from .oracle import all_subsets_sorted, topk_oracle
-from .pool import BoundedPool, RunMetrics
-from .shifts import EdgeType
+from .pool import RunMetrics
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundedPool",
     "Delta",
-    "EdgeType",
     "InputError",
     "InputSet",
     "NegativeValueError",
@@ -43,10 +38,8 @@ __all__ = [
     "SubsetPositions",
     "Variant",
     "all_subsets_sorted",
-    "cursors_from_bits",
     "expand_deltas",
     "load_input",
-    "sum_of",
     "topk",
     "topk_oracle",
     "__version__",

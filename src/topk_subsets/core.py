@@ -43,9 +43,7 @@ __all__ = [
     "RankedSubset",
     "load_input",
     "answer_width",
-    "validate_positions",
     "unscale",
-    "sum_of",
     "positions_from_bits",
     "mask_from_positions",
     "cursors_from_bits",
@@ -84,10 +82,10 @@ class InputSet:
     Construct through :meth:`from_values` or :func:`load_input`, which
     sort and validate; direct construction re-checks the invariants.
 
-    ``exact`` (the ints that every walk, :func:`sum_of` and the oracle
-    add) and ``scale`` are derived, with ``exact[i] / scale == values[i]``
-    exactly.  In int mode they are ``values`` and 1; in float mode
-    ``scale`` is the largest ``as_integer_ratio`` denominator, a power of 2.
+    ``exact`` (the ints that every walk and the oracle add) and ``scale``
+    are derived, with ``exact[i] / scale == values[i]`` exactly.  In int
+    mode they are ``values`` and 1; in float mode ``scale`` is the largest
+    ``as_integer_ratio`` denominator, a power of 2.
     """
 
     values: tuple
@@ -270,38 +268,12 @@ def answer_width(values: Sequence, k: int) -> int:
     return bisect_right(values, values[k - 1]) + 1
 
 
-def validate_positions(positions: Sequence[int], n: int) -> None:
-    """Reject anything that is not a non-empty strictly increasing tuple in [1, n]."""
-    if len(positions) == 0:
-        raise InputError("subset must be non-empty")
-    prev = 0
-    for p in positions:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise InputError(f"position {p!r} is not an integer")
-        if p <= prev:
-            raise InputError("positions must be strictly increasing and >= 1")
-        prev = p
-    if prev > n:
-        raise InputError(f"position {prev} exceeds n = {n}")
-
-
 def unscale(total: int, scale: int) -> float:
     """``float(Fraction(total, scale))``, rounded once by int true division, or inf."""
     try:
         return total / scale
     except OverflowError:
         return math.inf
-
-
-def sum_of(positions: Sequence[int], r: InputSet) -> Number:
-    """Sum of the values at the given 1-based positions.
-
-    Exact in integer mode; in float mode the exact sum rounded once to a
-    float (:func:`unscale`).
-    """
-    validate_positions(positions, r.n)
-    total = sum(r.exact[p - 1] for p in positions)
-    return unscale(total, r.scale) if r.mode == "float" else total
 
 
 # -- bit-pattern helpers -----------------------------------------------------
@@ -364,7 +336,7 @@ class RankedSubset(NamedTuple):
     delta: "Delta | None" = None
 
 
-# records skip the Python-level NamedTuple __new__, which runs once per result
+# records skip the Python-level NamedTuple __new__: it costs as much as a successor call
 _new = tuple.__new__
 
 

@@ -43,8 +43,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
-from .core import (Delta, InputSet, RankedSubset, SubsetPositions, answer_width,
-                   mask_from_positions, positions_from_bits, unscale)
+from .core import (Delta, InputSet, RankedSubset, _new, answer_width, mask_from_positions,
+                   positions_from_bits, unscale)
 from .pool import BoundedPool, RunMetrics
 from .shifts import (
     bit_root,
@@ -55,7 +55,7 @@ from .shifts import (
     mandatory_static_children,
 )
 
-__all__ = ["Variant", "topk", "baseline_children"]
+__all__ = ["Variant", "topk"]
 
 Stream = Iterator[RankedSubset]
 
@@ -67,24 +67,14 @@ class Variant(Enum):
     ONDEMAND_COMPACT = "compact"
 
 
-def baseline_children(s: SubsetPositions, n: int) -> list[SubsetPositions]:
-    """Baseline successors of s: replace-max and extend-max, in that order."""
-    m = s[-1]
-    if m >= n:
-        return []
-    return [s[:-1] + (m + 1,), s + (m + 1,)]
-
-
 def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
+    """Baseline children of a ``(positions, total)`` node: replace-max, then extend-max."""
     positions, total = node
-    values = r.exact
-    kids = baseline_children(positions, len(values))
-    if kids:
-        # pair each child with its sum in place: no second list per step
-        m = positions[-1]
-        kids[0] = (kids[0], total - values[m - 1] + values[m])
-        kids[1] = (kids[1], total + values[m])
-    return kids
+    values, m = r.exact, positions[-1]
+    if m >= len(values):
+        return []
+    return [(positions[:-1] + (m + 1,), total - values[m - 1] + values[m]),
+            (positions + (m + 1,), total + values[m])]
 
 
 def _dedup_successors(n: int):
@@ -102,10 +92,6 @@ def _dedup_successors(n: int):
                 yield child, sum(values[p - 1] for p in child)
 
     return successors
-
-
-# records skip the Python-level NamedTuple __new__, which costs as much as the successor call
-_new = tuple.__new__
 
 
 def _positions_record(rank: int, node: tuple) -> RankedSubset:

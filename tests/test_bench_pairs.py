@@ -77,6 +77,8 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch, capsys):
         return {"side": side, "workload": workload, "seed": seed}
 
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "src_lines",
+                        lambda root: 1417 if root == bench_pairs.ROOT else 1464)
     monkeypatch.setattr(bench_pairs, "run_side", run_side)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["BASE", "10", str(out)]) == 1
@@ -86,10 +88,19 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch, capsys):
     assert calls == [("parent", first, 2, spec["run_seconds"]),
                      ("change", first, 2, spec["run_seconds"]),
                      ("parent", second, 2, spec["run_seconds"])]
+    # each entry carries its side's src/ line count
     assert json.loads(out.read_text()) == [
-        {"side": "parent", "workload": first, "seed": 2},
-        {"side": "change", "workload": first, "seed": 2},
+        {"side": "parent", "workload": first, "seed": 2, "src_lines": 1464},
+        {"side": "change", "workload": first, "seed": 2, "src_lines": 1417},
     ]
     captured = capsys.readouterr()
     assert f"parent {second} seed=2 failed" in captured.err
     assert captured.out == ""
+
+
+def test_src_lines_counts_every_python_file_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("w = 4\nv = 5")
+    (tmp_path / "src" / "notes.txt").write_text("not code\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 5

@@ -239,15 +239,23 @@ class TestCutLoadOutput:
         else:
             assert metrics == want_metrics
 
-    # dedup's output bytes and counters on a tied input, cut (k=9) and uncut (k=40)
-    @pytest.mark.parametrize("k, digest, counters", [
+    # dedup's and baseline's output bytes and counters on a tied input, cut (k=9)
+    # and uncut (k=40)
+    @pytest.mark.parametrize("k, digest, counters, algo", [
         (9, "c8a9cb59615132ddb5759e7764e6af88b07b8509e989a7f6d67ca6502994c9d9",
-         "total_insertions=71 peak_size=17 extractions=9 prunes=62 reported_count=9"),
+         "total_insertions=71 peak_size=17 extractions=9 prunes=62 reported_count=9", "dedup"),
         (40, "6df10ddc1f55ec58bfe3b1017bae922802ea40dcecd908dfac00f8d570ab5a53",
-         "total_insertions=517 peak_size=51 extractions=40 prunes=477 reported_count=40"),
+         "total_insertions=517 peak_size=51 extractions=40 prunes=477 reported_count=40",
+         "dedup"),
+        (9, "ace27cb0d39bff1596c24aaca57c54ff066053abb25be8733bcb9f78fc3ad413",
+         "total_insertions=19 peak_size=10 extractions=9 prunes=0 reported_count=9",
+         "baseline"),
+        (40, "841f645f7b77752c3e4d2a660a1681eceeb3aad065d503d6bb5c55d29af653b6",
+         "total_insertions=81 peak_size=41 extractions=40 prunes=0 reported_count=40",
+         "baseline"),
     ])
-    def test_dedup_bytes_and_counters_pinned(self, k, digest, counters):
-        argv = ["topk", "--k", str(k), "--algo", "dedup", "--output", "subsets"]
+    def test_dedup_bytes_and_counters_pinned(self, k, digest, counters, algo):
+        argv = ["topk", "--k", str(k), "--algo", algo, "--output", "subsets"]
         code, out, metrics = _run_captured(argv, "3 0 1 1 0 2 1 5 4 2 2 9 7 1 0 8 6 3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

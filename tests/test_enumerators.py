@@ -12,7 +12,7 @@ from test_shifts import (mandatory_incremental_children,
 
 import topk_subsets.enumerators as enumerators
 from topk_subsets.core import InputSet, expand_deltas, mask_from_positions
-from topk_subsets.enumerators import Variant, baseline_children, topk
+from topk_subsets.enumerators import Variant, topk
 from topk_subsets.oracle import topk_oracle
 from topk_subsets.shifts import incremental_children_all
 
@@ -29,6 +29,14 @@ INCREMENTAL_RULES = [
 def drain(r, k, variant):
     stream, metrics = topk(r, k, variant)
     return list(stream), metrics
+
+
+def baseline_children(s: tuple, n: int) -> list:
+    """The positions of baseline's successors of s over the values 1..n."""
+    r = InputSet(tuple(range(1, n + 1)))
+    kids = enumerators._baseline_successors((s, sum(s)), r, 1)
+    assert all(total == sum(p) for p, total in kids)
+    return [p for p, _ in kids]
 
 
 class TestBaselineChildren:

@@ -12,11 +12,12 @@ side runs first from one seed to the next.
 Each run's ``record.json`` is tagged with its side and written to OUT as a
 JSON list, in the format of the committed ``BENCH_*.json`` files: the
 interpreter path is dropped, ``module`` is relative to the measured
-checkout, and a change side whose ``src/`` differs from HEAD records
-``commit: null`` (its ``source_sha256`` names the code).  Then prints each
-side's median [quartiles] of every end-to-end metric, the pairs the
-change won and a verdict, and the ``src/`` line count of both sides.  The
-verdict is the first of these that holds:
+checkout, a change side whose ``src/`` differs from HEAD records
+``commit: null`` (its ``source_sha256`` names the code), and ``src_lines``
+is the line count of the side's ``src/``.  Then prints each side's median
+[quartiles] of every end-to-end metric, the pairs the change won and a
+verdict, and the ``src/`` line count of both sides.  The verdict is the
+first of these that holds:
 
 * ``worse``: the change's median is worse than the parent's by more than
   the metric's ``BENCHMARK.json`` bound (a fraction of the parent's
@@ -122,14 +123,15 @@ def main(argv: list) -> int:
         base = os.path.join(tmp, "base")
         git("worktree", "add", "--detach", base, base_rev)
         try:
-            lines = src_lines(base), src_lines(ROOT)
+            lines = {"parent": src_lines(base), "change": src_lines(ROOT)}
             sides = [("parent", base), ("change", ROOT)]
             runs = [(side, root, workload, seed)
                     for seed in range(2, pairs + 2) for workload in workloads
                     for side, root in (sides if seed % 2 == 0 else sides[::-1])]
             for side, root, workload, seed in runs:
                 try:
-                    entries.append(run_side(side, root, workload, seed, spec["run_seconds"]))
+                    entries.append({**run_side(side, root, workload, seed, spec["run_seconds"]),
+                                    "src_lines": lines[side]})
                 except subprocess.CalledProcessError as exc:
                     failed = f"{side} {workload} seed={seed} failed: {exc}"
                     break
@@ -141,7 +143,7 @@ def main(argv: list) -> int:
         print(f"{failed}\n{len(entries)} earlier runs written to {out}", file=sys.stderr)
         return 1
     summarize(entries, workloads, spec["end_to_end"])
-    print(f"src/ lines: parent {lines[0]} -> change {lines[1]}")
+    print(f"src/ lines: parent {lines['parent']} -> change {lines['change']}")
     return 0
 
 
