@@ -163,8 +163,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         text = "".join(f"{name}={getattr(metrics, name)}\n" for name in names)
         if not _write_file(args.metrics, f"{text}reported_count={emitted}\n"):
             return 2
-    # A cut load (k + 1 < n) never gets here: it keeps m + 1 >= k + 1 values,
-    # which form more than k subsets, so r.n in the notice is the full n.
+    # A cut load never gets here: it keeps m + 1 >= j + 1 values, j the bit
+    # length of k, which form 2**(j+1) - 1 > k subsets, so r.n is the full n.
     if emitted < args.k:
         print(
             f"note: truncated at {emitted} subsets; only {emitted} non-empty "

@@ -177,8 +177,9 @@ def load_input(
     are rejected.
 
     ``keep=k`` loads only what the k smallest subset sums can use: the
-    :func:`answer_width` smallest values, m+1 with m the last position
-    equal to v_k, the k-th smallest value (all of them when m+1 >= n).
+    :func:`answer_width` smallest values, m+1 with m the number of values
+    <= min(v_k, v_1+...+v_j), j = ``k.bit_length()`` (all of them when
+    m+1 >= n).  The sum term can cut even when k >= n.
     The cut applies in int mode only: a float parse accepts ``inf`` and
     ``nan``, so a float cut would need a finiteness scan of every value
     first.  Every verdict is reached over the full input, so errors and
@@ -211,7 +212,7 @@ def load_input(
     if not values:
         raise InputError("empty input: no values found")
     n = len(values)
-    if mode == "int" and keep is not None and keep + 1 < n and n * max(values) <= _INT64_MAX:
+    if mode == "int" and keep is not None and n * max(values) <= _INT64_MAX:
         return InputSet(tuple(_answer_prefix(values, keep)), mode)
     values.sort()
     return InputSet(tuple(values), mode)
@@ -235,37 +236,52 @@ def _parse_into(values: list, parse, text: str, blocks: Iterator[str]) -> None:
 
 
 def _answer_prefix(values: list, keep: int) -> list:
-    """The m+1 smallest of the parsed ints, m the last position of v_keep.
+    """The :func:`answer_width` smallest of the parsed ints, sorted.
 
-    Needs ``keep + 1 < n``.  A threshold a little above the (keep+1)/n
-    quantile of a sorted stride sample filters the values at C level, and
-    only the survivors are sorted.  When they do not reach past position m
-    (the threshold fell below v_keep or on its ties), the whole list is
-    sorted instead, as without ``keep``.  The result depends on m alone,
-    not on the sample.
+    A sorted stride sample gives an upper estimate of the bound B: the sum
+    of its j smallest is at least v_1+...+v_j, and when keep < n, a sample
+    value a little above the (keep+1)/n quantile likely reaches v_keep.
+    One C-level filter keeps the values up to the first sample value above
+    the estimate, and only they are sorted.  They hold a value above B, so
+    they prove the width, unless the quantile fell below v_keep; then, or
+    when no sample value exceeds the estimate, the whole list is sorted.
+    The result depends on the width alone, not on the sample.
     """
     n = len(values)
     sample = sorted(values[:: max(1, n // 4096)])
-    i = (keep + 1) * len(sample) // n
-    kept = list(filter(sample[min(i + 8 + i // 8, len(sample) - 1)].__ge__, values))
-    if len(kept) > keep:
+    estimate = sum(sample[: keep.bit_length()])
+    if keep < n:
+        i = (keep + 1) * len(sample) // n
+        estimate = min(estimate, sample[min(i + 8 + i // 8, len(sample) - 1)])
+    i = bisect_right(sample, estimate)
+    if i < len(sample):
+        kept = list(filter(sample[i].__ge__, values))
         kept.sort()
         width = answer_width(kept, keep)
         if width <= len(kept):
             return kept[:width]
-    del kept
+        del kept
     values.sort()
     return values[: answer_width(values, keep)]
 
 
 def answer_width(values: Sequence, k: int) -> int:
-    """m+1, m the last position of sorted ``values`` equal to v_k (1 <= k <= n).
+    """m+1, m the number of sorted ``values`` <= B = min(v_k, v_1+...+v_j).
 
-    The k singletons bound the k-th smallest subset sum by v_k, and every
-    value past m exceeds v_k, so no answer uses a position past m.  m+1
-    counts too, so that successor rules test ``p < n`` as on the full set.
+    Here j = ``k.bit_length()``.  The k singletons bound the k-th smallest
+    subset sum by v_k, and the 2**j - 1 >= k subsets of the j smallest
+    values by their sum, so no answer uses a value above B, that is a
+    position past m.  The v_k term applies only when k <= n and the sum
+    term only when j <= n; with neither, B is unbounded and the width is
+    n+1.  m+1 counts too, so that successor rules test ``p < n`` as on the
+    full set.  Give exact values: a rounded float sum could fall below a
+    value that an answer uses.
     """
-    return bisect_right(values, values[k - 1]) + 1
+    n, j = len(values), k.bit_length()
+    bound = sum(values[:j]) if j <= n else math.inf
+    if k <= n:
+        bound = min(bound, values[k - 1])
+    return bisect_right(values, bound) + 1
 
 
 def unscale(total: int, scale: int) -> float:

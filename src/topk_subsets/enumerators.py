@@ -172,9 +172,8 @@ def topk(
         return _best_first(r, k_eff, ((1,), r.exact[0]), _baseline_successors,
                            _positions_record, itemgetter(1), expand_all=True)
     if variant is Variant.DEDUP_HEAP:
-        n = r.n
-        if k_eff < n:  # incr edges would add every position past the answer width
-            n = min(n, answer_width(r.values, k_eff))
+        # incr edges would add every position past the answer width
+        n = min(r.n, answer_width(r.exact, k_eff))
         return _best_first(r, k_eff, ((1,), r.exact[0]), _dedup_successors(n),
                            _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:

@@ -42,6 +42,10 @@ def test_summary_gives_one_verdict_per_metric_and_workload(capsys):
     ]
     assert "change better in 9/10" in lines[0]
     assert "change better in 10/10" in lines[5]
+    # each line gives the change's median over the parent's, its base printed first
+    assert " 104.5 [101.8, 107.2] -> 114.5 [111.8, 117.2]  x1.096  " in lines[0]
+    assert " 104.5 [101.8, 107.2] -> 109.7 [106.8, 112.6]  x1.050  " in lines[1]
+    assert " -> 73.15 [71.22, 75.07]  x0.700  " in lines[2]
 
 
 WIDE = [60, 70, 80, 90, 100, 110, 120, 130, 140, 150]  # IQR 55, over 0.25 * median 105

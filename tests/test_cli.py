@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import topk_subsets
 from topk_subsets import cli, core
+from topk_subsets.bench import splitmix64_stream
 from topk_subsets.cli import main
 from topk_subsets.core import load_input
+from topk_subsets.enumerators import topk
 
 
 @pytest.fixture()
@@ -239,13 +241,13 @@ class TestCutLoadOutput:
         else:
             assert metrics == want_metrics
 
-    # dedup's and baseline's output bytes and counters on a tied input, cut (k=9)
-    # and uncut (k=40)
+    # dedup's and baseline's output bytes and counters on a tied input of 18 values,
+    # cut to its 8 smallest (k=9) and, by the sum term alone, its 13 smallest (k=40)
     @pytest.mark.parametrize("k, digest, counters, algo", [
         (9, "c8a9cb59615132ddb5759e7764e6af88b07b8509e989a7f6d67ca6502994c9d9",
-         "total_insertions=71 peak_size=17 extractions=9 prunes=62 reported_count=9", "dedup"),
+         "total_insertions=47 peak_size=14 extractions=9 prunes=38 reported_count=9", "dedup"),
         (40, "6df10ddc1f55ec58bfe3b1017bae922802ea40dcecd908dfac00f8d570ab5a53",
-         "total_insertions=517 peak_size=51 extractions=40 prunes=477 reported_count=40",
+         "total_insertions=322 peak_size=46 extractions=40 prunes=282 reported_count=40",
          "dedup"),
         (9, "ace27cb0d39bff1596c24aaca57c54ff066053abb25be8733bcb9f78fc3ad413",
          "total_insertions=19 peak_size=10 extractions=9 prunes=0 reported_count=9",
@@ -260,6 +262,18 @@ class TestCutLoadOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert " ".join(metrics) == counters
+
+    def test_bitvec_past_n_prints_the_full_width_records(self):
+        # k = 15000 > n = 3000: only the sum of the 14 smallest values bounds the cut
+        stream = splitmix64_stream(3)
+        text = "\n".join(str(1 + next(stream) % 10**6) for _ in range(3000))
+        assert len(load_input(text, keep=15_000).values) < 300
+        argv = ["topk", "--k", "15000", "--algo", "bitvec", "--output", "subsets"]
+        code, out, _ = _run_captured(argv, text)
+        records, _ = topk(load_input(text), 15_000, "bitvec")
+        want = "".join(f"{item.rank}\t{item.total}\t{','.join(map(str, item.positions))}\n"
+                       for item in records)
+        assert (code, out) == (0, want)
 
 
 class TestFlagErrors:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topk_subsets import core
+from topk_subsets.bench import splitmix64_stream
 from topk_subsets.core import (
     Delta,
     InputError,
@@ -315,9 +316,13 @@ class TestBlockReads:
 
 
 def _cut_length(values: tuple, k: int) -> int:
-    """min(n, m+1), with m the last position whose value equals v_k."""
-    n = len(values)
-    return n if k >= n else min(n, bisect_right(values, values[k - 1]) + 1)
+    """min(n, m+1), m the count of values <= min(v_k, v_1+...+v_j), j = k.bit_length().
+
+    A term counts only when its positions exist; with neither, all n values.
+    """
+    n, j = len(values), k.bit_length()
+    bounds = values[k - 1 : k] + (sum(values[:j]),) * (j <= n)
+    return min(n, bisect_right(values, min(bounds)) + 1) if bounds else n
 
 
 # tie-heavy value lists: all zeros, one repeated value, few distinct values
@@ -335,6 +340,39 @@ def _tied_case(draw):
     vals = draw(_TIED_VALUES)
     k = draw(st.one_of(st.integers(1, max(1, len(vals) - 2)), st.integers(1, 2 ** len(vals) + 2)))
     return vals, k
+
+
+# zeros, ties and powers of two: subset sums that tie each other or sit on the bound
+_WIDTH_VALUES = st.lists(
+    st.one_of(st.just(0), st.integers(0, 3), st.sampled_from([1 << e for e in range(12)]),
+              st.integers(0, 10**6)),
+    min_size=1, max_size=12,
+).map(sorted)
+
+
+@st.composite
+def _width_case(draw):
+    values = draw(_WIDTH_VALUES)
+    return values, draw(st.integers(1, 2 ** len(values) + 2))
+
+
+def _uniform(n: int, seed: int) -> list:
+    """n seeded ints in [1, 10**6], unsorted."""
+    stream = splitmix64_stream(seed)
+    return [1 + next(stream) % 10**6 for _ in range(n)]
+
+
+class TestAnswerWidth:
+    @given(_width_case())
+    @example(([1, 2, 4, 8], 3))  # the sum of the j - 1 smallest, 1, is below the 3rd sum
+    @example(([0] * 12, 4097))  # no term applies: every position is kept
+    @example(([5, 5, 5, 9], 2))  # v_k binds, on a tie
+    def test_every_subset_up_to_the_kth_sum_fits(self, case):
+        values, k = case
+        ranked = all_subsets_sorted(InputSet(tuple(values)))
+        kth = ranked[min(k, len(ranked)) - 1][0]
+        width = core.answer_width(values, k)
+        assert all(positions[-1] < width for total, positions in ranked if total <= kth)
 
 
 _COUNTERS = ("total_insertions", "peak_size", "extractions", "prunes")
@@ -391,10 +429,14 @@ class TestAnswerBoundedLoad:
             list(range(20_000, 0, -1)),
             # the stride sample sees only the zeros: the threshold keeps too few values
             [0 if i % 4 == 0 else i for i in range(20_000)],
+            # k >= 3000 = n leaves only the sum term to bind
+            list(range(1, 3001)),
+            _uniform(3000, 18),
         ],
-        ids=["repeats", "all-equal", "zero-plateau", "distinct", "sampled-zeros"],
+        ids=["repeats", "all-equal", "zero-plateau", "distinct", "sampled-zeros",
+             "range-3000", "uniform-3000"],
     )
-    @pytest.mark.parametrize("k", [1, 5, 3000, 6000, 18_999, 19_998])
+    @pytest.mark.parametrize("k", [1, 5, 3000, 6000, 15_000, 18_999, 19_998])
     def test_sampled_thresholds_on_wide_inputs(self, values, k):
         text = "\n".join(map(str, values))
         full = tuple(sorted(values))
@@ -440,6 +482,10 @@ class TestAcceptPathHasNoPerValueLoop:
         small = _core_line_events(lambda: load_input(" ".join(map(str, range(20, 0, -1))), keep=1))
         lines = "\n".join(f"{v} # c" for v in range(2000, 0, -1))
         assert _core_line_events(lambda: load_input(lines, keep=1)) == small
+        # keep >= n: 20 and 2000 values both cut by the sum of the 11 smallest
+        small = _core_line_events(
+            lambda: load_input(" ".join(map(str, [10**6, *range(19, 0, -1)])), keep=2000))
+        assert _core_line_events(lambda: load_input(lines, keep=2000)) == small
 
     @pytest.mark.parametrize("mode", ["int", "float"])
     def test_load_input_grows_per_block(self, mode, monkeypatch):

@@ -15,7 +15,8 @@ interpreter path is dropped, ``module`` is relative to the measured
 checkout, a change side whose ``src/`` differs from HEAD records
 ``commit: null`` (its ``source_sha256`` names the code), and ``src_lines``
 is the line count of the side's ``src/``.  Then prints each side's median
-[quartiles] of every end-to-end metric, the pairs the change won and a
+[quartiles] of every end-to-end metric, the ratio of the change's median
+to the parent's (its base, printed first), the pairs the change won and a
 verdict, and the ``src/`` line count of both sides.  The verdict is the
 first of these that holds:
 
@@ -94,8 +95,9 @@ def summarize(entries: list, workloads: list, metrics: list) -> None:
             change = [m[name] for m in runs["change"].values()]
             wins = sum(sign * (runs["change"][s][name] - runs["parent"][s][name]) > 0
                        for s in runs["parent"])
-            median = statistics.median(parent)
-            gap = sign * (statistics.median(change) - median)  # > 0: the change is better
+            median, change_median = statistics.median(parent), statistics.median(change)
+            ratio = change_median / median if median else float("nan")
+            gap = sign * (change_median - median)  # > 0: the change is better
             q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
             bound = metric["bound"] * abs(median)
             if -gap > bound:
@@ -107,7 +109,7 @@ def summarize(entries: list, workloads: list, metrics: list) -> None:
             else:
                 verdict = "same"
             print(f"{workload:<16} {name:<18} {spread(parent)} -> {spread(change)}"
-                  f"  change better in {wins}/{len(parent)}  {verdict}")
+                  f"  x{ratio:.3f}  change better in {wins}/{len(parent)}  {verdict}")
 
 
 def main(argv: list) -> int:
