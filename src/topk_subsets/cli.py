@@ -2,9 +2,9 @@
 
 Exit codes: 0 success (including a truncated answer, which adds a notice
 on stderr), 2 bad flags or an output file that cannot be written, 3
-unusable input data.  ``topk`` exits 141 (128 + SIGPIPE, what a shell
-reports for a filter killed by a closed pipe) without a traceback when
-its stdout is closed before the last line, as in ``topk ... | head``.
+unusable input data.  Every subcommand exits 141 (128 + SIGPIPE, what a
+shell reports for a filter killed by a closed pipe) without a traceback
+when its stdout is closed before the last line, as in ``topk ... | head``.
 """
 
 from __future__ import annotations
@@ -135,27 +135,20 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "subsets" and args.algo == "compact":
         stream = expand_deltas(stream)
 
-    try:
-        for item in stream:
-            if args.output == "sums":
-                out.write(f"{item.rank}\t{item.total}\n")
-            elif args.output == "subsets":
-                joined = ",".join(map(str, item.positions))
-                out.write(f"{item.rank}\t{item.total}\t{joined}\n")
-            else:
-                d = item.delta
-                parent = "-" if d.parent_rank is None else str(d.parent_rank)
-                removed = "-" if d.removed is None else str(d.removed)
-                added = "-" if d.added is None else str(d.added)
-                out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
-            out.flush()
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at devnull so the interpreter's
-        # final flush of the unwritten buffer cannot fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-        return 141
+    # a closed stdout raises BrokenPipeError here, before --metrics is written
+    for item in stream:
+        if args.output == "sums":
+            out.write(f"{item.rank}\t{item.total}\n")
+        elif args.output == "subsets":
+            joined = ",".join(map(str, item.positions))
+            out.write(f"{item.rank}\t{item.total}\t{joined}\n")
+        else:
+            d = item.delta
+            parent = "-" if d.parent_rank is None else str(d.parent_rank)
+            removed = "-" if d.removed is None else str(d.removed)
+            added = "-" if d.added is None else str(d.added)
+            out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
+        out.flush()
 
     emitted = metrics.extractions
     if args.metrics:
@@ -267,7 +260,17 @@ def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a buffered run meets a closed stdout here, if not before
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the interpreter's
+        # final flush of the unwritten buffer cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

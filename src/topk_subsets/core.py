@@ -45,7 +45,6 @@ __all__ = [
     "answer_width",
     "unscale",
     "positions_from_bits",
-    "mask_from_positions",
     "cursors_from_bits",
     "expand_deltas",
 ]
@@ -301,14 +300,6 @@ def positions_from_bits(bits: bytes) -> tuple[int, ...]:
     The scan visits every byte, the O(n) retrieval of a bit-vector record.
     """
     return tuple([i for i, bit in enumerate(bits, 1) if bit])
-
-
-def mask_from_positions(positions: Sequence[int]) -> int:
-    """Canonical integer key for a subset: bit p-1 set for member position p."""
-    mask = 0
-    for p in positions:
-        mask |= 1 << (p - 1)
-    return mask
 
 
 def cursors_from_bits(b: bytes) -> tuple[int, int, int, int]:

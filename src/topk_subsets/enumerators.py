@@ -1,4 +1,4 @@
-"""Four interchangeable streaming top-k enumerators on one best-first driver.
+"""Three interchangeable streaming top-k enumerators on one best-first driver.
 
 Each step of the driver extracts the smallest-sum node from a
 :class:`BoundedPool`, inserts the node's successors and emits it as a
@@ -16,12 +16,6 @@ budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
     extraction and never prunes: a completed k-run makes exactly 2k+1
     insertions and peaks at k+1 entries (when no extracted subset tops
     out at position n).
-
-``dedup``
-    A guard-set walk over the multi-parent shift graph, on
-    ``(positions, total)`` nodes: the mandatory static pair plus every
-    incremental one shift.  A guard set of canonical masks, kept for the
-    whole run, drops candidates reached twice.
 
 ``bitvec``
     The final one-parent DAG over full bit patterns: the ``compact`` rule
@@ -43,17 +37,9 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
-from .core import (Delta, InputSet, RankedSubset, _new, answer_width, mask_from_positions,
-                   positions_from_bits, unscale)
+from .core import Delta, InputSet, RankedSubset, _new, positions_from_bits, unscale
 from .pool import BoundedPool, RunMetrics
-from .shifts import (
-    bit_root,
-    compact_children,
-    compact_root,
-    final_dag_children,
-    incremental_children_all,
-    mandatory_static_children,
-)
+from .shifts import bit_root, compact_children, compact_root, final_dag_children
 
 __all__ = ["Variant", "topk"]
 
@@ -62,7 +48,6 @@ Stream = Iterator[RankedSubset]
 
 class Variant(Enum):
     BASELINE = "baseline"
-    DEDUP_HEAP = "dedup"
     ONDEMAND_BITVEC = "bitvec"
     ONDEMAND_COMPACT = "compact"
 
@@ -75,23 +60,6 @@ def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
         return []
     return [(positions[:-1] + (m + 1,), total - values[m - 1] + values[m]),
             (positions + (m + 1,), total + values[m])]
-
-
-def _dedup_successors(n: int):
-    """Dedup successors over positions 1..n only."""
-    seen = {mask_from_positions((1,))}
-
-    def successors(node: tuple, r: InputSet, rank: int) -> Iterator[tuple]:
-        positions, values = node[0], r.exact
-        children = [c for c, _ in mandatory_static_children(positions, n)]
-        children.extend(incremental_children_all(positions, n))
-        for child in children:
-            mask = mask_from_positions(child)
-            if mask not in seen:
-                seen.add(mask)
-                yield child, sum(values[p - 1] for p in child)
-
-    return successors
 
 
 def _positions_record(rank: int, node: tuple) -> RankedSubset:
@@ -171,11 +139,6 @@ def topk(
     if variant is Variant.BASELINE:
         return _best_first(r, k_eff, ((1,), r.exact[0]), _baseline_successors,
                            _positions_record, itemgetter(1), expand_all=True)
-    if variant is Variant.DEDUP_HEAP:
-        # incr edges would add every position past the answer width
-        n = min(r.n, answer_width(r.exact, k_eff))
-        return _best_first(r, k_eff, ((1,), r.exact[0]), _dedup_successors(n),
-                           _positions_record, itemgetter(1))
     if variant is Variant.ONDEMAND_BITVEC:
         return _best_first(r, k_eff, bit_root(r), final_dag_children, _bitvec_record,
                            itemgetter(5))

@@ -40,7 +40,6 @@ from .core import InputSet, SubsetPositions, cursors_from_bits, positions_from_b
 
 __all__ = [
     "EdgeType",
-    "incremental_children_all",
     "mandatory_static_children",
     "compact_root",
     "compact_children",
@@ -57,12 +56,6 @@ class EdgeType(Enum):
     TYPE1 = "Type1"
     TYPE2 = "Type2"
     INCREMENTAL = "Incr"
-
-
-def incremental_children_all(s: SubsetPositions, n: int) -> list[SubsetPositions]:
-    """The incremental one shifts of s: s plus any absent position, n - |s| children."""
-    members = set(s)
-    return [tuple(sorted(s + (j,))) for j in range(1, n + 1) if j not in members]
 
 
 def _prefix_run_len(s: SubsetPositions) -> int:

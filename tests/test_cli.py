@@ -17,7 +17,9 @@ from topk_subsets import cli, core
 from topk_subsets.bench import splitmix64_stream
 from topk_subsets.cli import main
 from topk_subsets.core import load_input
-from topk_subsets.enumerators import topk
+from topk_subsets.enumerators import Variant, topk
+
+ALGOS = [v.value for v in Variant]
 
 
 @pytest.fixture()
@@ -42,7 +44,7 @@ class TestTopkCommand:
 
     def test_subsets_output_matches_across_algos(self, input_file, capsys):
         seen = {}
-        for algo in ("baseline", "dedup", "bitvec", "compact"):
+        for algo in ALGOS:
             out, _ = run_ok(
                 ["topk", "--input", input_file, "--k", "4",
                  "--algo", algo, "--output", "subsets"],
@@ -134,7 +136,7 @@ class TestTopkCommand:
         assert err == "note: truncated at 31 subsets; only 31 non-empty subsets exist for n=5\n"
 
     def test_edge_set_flag_is_gone(self, input_file, capsys):
-        # dedup has one edge set; the flag that chose among three is a usage error
+        # the flag that chose the retired dedup walk's edge set is a usage error
         with pytest.raises(SystemExit) as exc:
             main(["topk", "--input", input_file, "--k", "3", "--edge-set", "mmincr"])
         assert exc.value.code == 2
@@ -148,7 +150,7 @@ class TestTopkCommand:
         subsets = [line.split("\t")[2] for line in out.splitlines()]
         assert subsets.index("2,5") < subsets.index("1,2,3,5")
 
-    @pytest.mark.parametrize("algo", ["baseline", "dedup", "bitvec", "compact"])
+    @pytest.mark.parametrize("algo", ALGOS)
     def test_float_total_past_the_float_range_is_inf(self, capsys, monkeypatch, algo):
         monkeypatch.setattr("sys.stdin", io.StringIO("1e308 1e308"))
         out, _ = run_ok(["topk", "--k", "3", "--mode", "float", "--algo", algo], capsys)
@@ -163,28 +165,40 @@ class TestTopkCommand:
         loaded = set(eval(out.stdout))
         assert loaded & {"csv", "decimal", "fractions", "statistics"} == set()
 
-    def test_closed_stdout_exits_quietly(self, tmp_path):
+    @pytest.mark.parametrize("argv, unbuffered, head", [
         # as `topk ... | head -2`: the reader leaves long before the k-th line
-        path = tmp_path / "wide.txt"
-        path.write_text(" ".join(map(str, range(1, 1001))) + "\n")
+        (["topk", "--input", "{wide}", "--k", "100000", "--metrics", "{metrics}"], False,
+         [b"1\t1\n", b"2\t2\n"]),
+        # the next line fails at its print: the sweep of the next algo outlasts the reader
+        (["verify", "--n-max", "12", "--seeds", "5"], True,
+         [b"oracle-equivalence[baseline]                 PASS\n"]),
+        # as `verify | true`: the whole answer waits in the buffer for the last flush
+        (["verify", "--n-max", "4", "--seeds", "1"], False, []),
+    ], ids=["topk", "verify-unbuffered", "verify-buffered"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, argv, unbuffered, head):
+        wide = tmp_path / "wide.txt"
+        wide.write_text(" ".join(map(str, range(1, 1001))) + "\n")
+        metrics = tmp_path / "metrics.txt"
+        argv = [arg.format(wide=wide, metrics=metrics) for arg in argv]
         src = os.path.dirname(os.path.dirname(topk_subsets.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         err_path = tmp_path / "stderr.txt"
         with open(err_path, "wb") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "topk_subsets.cli", "topk",
-                 "--input", str(path), "--k", "100000"],
-                stdout=subprocess.PIPE, stderr=err, env=env,
-            )
+            proc = subprocess.Popen([sys.executable, "-m", "topk_subsets.cli", *argv],
+                                    stdout=subprocess.PIPE, stderr=err, env=env)
             try:
-                head = [proc.stdout.readline() for _ in range(2)]
+                got = [proc.stdout.readline() for _ in head]
                 proc.stdout.close()
                 code = proc.wait(timeout=120)
             finally:
                 proc.kill()
-        assert head == [b"1\t1\n", b"2\t2\n"]
+        assert got == head
         assert err_path.read_bytes() == b""
         assert code == 141
+        assert not metrics.exists()
 
 
 def _run_captured(argv, text):
@@ -203,7 +217,7 @@ def _run_captured(argv, text):
 
 _CLI_RUNS = [
     (algo, output)
-    for algo in ("baseline", "dedup", "bitvec", "compact")
+    for algo in ALGOS
     for output in ("sums", "subsets", "deltas")
     if output != "deltas" or algo == "compact"
 ]
@@ -231,33 +245,18 @@ class TestCutLoadOutput:
             real = cli.load_input
             mp.setattr(cli, "load_input", lambda source, mode="int", keep=None: real(source, mode))
             want_code, want_out, want_metrics = _run_captured(argv, text)
-        assert (code, out) == (want_code, want_out)
-        if algo == "dedup":
-            # incr edges reach every position up to n: fewer insertions after a cut
-            got, want = dict(m.split("=") for m in metrics), dict(m.split("=") for m in want_metrics)
-            assert got.keys() == want.keys()
-            assert got["extractions"] == want["extractions"]
-            assert all(int(got[key]) <= int(want[key]) for key in got)
-        else:
-            assert metrics == want_metrics
+        assert (code, out, metrics) == (want_code, want_out, want_metrics)
 
-    # dedup's and baseline's output bytes and counters on a tied input of 18 values,
-    # cut to its 8 smallest (k=9) and, by the sum term alone, its 13 smallest (k=40)
-    @pytest.mark.parametrize("k, digest, counters, algo", [
-        (9, "c8a9cb59615132ddb5759e7764e6af88b07b8509e989a7f6d67ca6502994c9d9",
-         "total_insertions=47 peak_size=14 extractions=9 prunes=38 reported_count=9", "dedup"),
-        (40, "6df10ddc1f55ec58bfe3b1017bae922802ea40dcecd908dfac00f8d570ab5a53",
-         "total_insertions=322 peak_size=46 extractions=40 prunes=282 reported_count=40",
-         "dedup"),
+    # baseline's output bytes and counters on a tied input of 18 values, cut to its
+    # 8 smallest (k=9) and, by the sum term alone, its 13 smallest (k=40)
+    @pytest.mark.parametrize("k, digest, counters", [
         (9, "ace27cb0d39bff1596c24aaca57c54ff066053abb25be8733bcb9f78fc3ad413",
-         "total_insertions=19 peak_size=10 extractions=9 prunes=0 reported_count=9",
-         "baseline"),
+         "total_insertions=19 peak_size=10 extractions=9 prunes=0 reported_count=9"),
         (40, "841f645f7b77752c3e4d2a660a1681eceeb3aad065d503d6bb5c55d29af653b6",
-         "total_insertions=81 peak_size=41 extractions=40 prunes=0 reported_count=40",
-         "baseline"),
-    ])
-    def test_dedup_bytes_and_counters_pinned(self, k, digest, counters, algo):
-        argv = ["topk", "--k", str(k), "--algo", algo, "--output", "subsets"]
+         "total_insertions=81 peak_size=41 extractions=40 prunes=0 reported_count=40"),
+    ], ids=["k9", "k40"])
+    def test_baseline_bytes_and_counters_pinned(self, k, digest, counters):
+        argv = ["topk", "--k", str(k), "--algo", "baseline", "--output", "subsets"]
         code, out, metrics = _run_captured(argv, "3 0 1 1 0 2 1 5 4 2 2 9 7 1 0 8 6 3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -288,9 +287,12 @@ class TestFlagErrors:
             ["topk", "--k", "3", "--algo", "baseline", "--edge-set", "incr"],
             ["topk", "--k", "3", "--algo", "bitvec", "--output", "deltas"],
             ["topk", "--k", "3", "--algo", "quantum"],
+            ["topk", "--k", "3", "--algo", "dedup"],
             ["verify", "--n-max", "17"],
             ["verify", "--algos", "baseline,bogus"],
+            ["verify", "--algos", "dedup"],
             ["bench", "--n-list", "4", "--k-list", ","],
+            ["bench", "--n-list", "4", "--k-list", "3", "--algos", "dedup"],
             ["bench", "--n-list", "0", "--k-list", "5"],
             ["bench", "--n-list", "4", "--k-list", "-1"],
             ["dag", "--n", "4"],
@@ -390,7 +392,7 @@ class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
         out, _ = run_ok(["verify", "--n-max", "5", "--seeds", "2"], capsys)
         lines = out.splitlines()
-        assert len(lines) == 4 + 5  # four algos, five structure widths
+        assert len(lines) == len(ALGOS) + 5  # one line per algo, five structure widths
         assert all(line.endswith("PASS") for line in lines)
 
     def test_detects_broken_shift_rule(self, capsys, monkeypatch):

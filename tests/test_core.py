@@ -25,7 +25,6 @@ from topk_subsets.core import (
     cursors_from_bits,
     expand_deltas,
     load_input,
-    mask_from_positions,
     positions_from_bits,
 )
 from topk_subsets.enumerators import Variant, topk
@@ -53,6 +52,14 @@ def bits_from_positions(positions: Sequence[int], n: int) -> bytes:
     for p in positions:
         b[p - 1] = 1
     return bytes(b)
+
+
+def mask_from_positions(positions: Sequence[int]) -> int:
+    """Canonical integer key for a subset: bit p-1 set for member position p."""
+    mask = 0
+    for p in positions:
+        mask |= 1 << (p - 1)
+    return mask
 
 
 class TestInputSet:

@@ -1,4 +1,4 @@
-"""The four enumeration strategies against the oracle and each other."""
+"""The three enumeration strategies against the oracle and each other."""
 
 import sys
 from fractions import Fraction
@@ -7,23 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_oracle import exact_float, fraction_reference
-from test_shifts import (mandatory_incremental_children,
-                         modified_mandatory_incremental_children)
 
 import topk_subsets.enumerators as enumerators
-from topk_subsets.core import InputSet, expand_deltas, mask_from_positions
+from topk_subsets.core import InputSet, expand_deltas
 from topk_subsets.enumerators import Variant, topk
 from topk_subsets.oracle import topk_oracle
-from topk_subsets.shifts import incremental_children_all
 
 R1234 = InputSet.from_values((1, 2, 3, 4))
 ALL_VARIANTS = list(Variant)
-# dedup's incremental rule, and the paper's two thinned relations in its place
-INCREMENTAL_RULES = [
-    pytest.param(incremental_children_all, id="incr"),
-    pytest.param(mandatory_incremental_children, id="mincr"),
-    pytest.param(modified_mandatory_incremental_children, id="mmincr"),
-]
 
 
 def drain(r, k, variant):
@@ -156,7 +147,7 @@ class TestCounters:
             mc.prunes,
         )
 
-    @pytest.mark.parametrize("variant", ["dedup", "bitvec", "compact"])
+    @pytest.mark.parametrize("variant", ["bitvec", "compact"])
     def test_pool_pruned_to_answers_owed(self, variant):
         # after the q-th result the live pool holds at most the k - q answers still owed
         stream, m = topk(self.R30, 100, variant)
@@ -191,39 +182,14 @@ class TestStreamingBehavior:
                 topk(R1234, 0, variant)
 
     def test_variant_slugs(self):
+        # one variant per algorithm of the paper: its two walks and the prior work
+        assert [v.value for v in Variant] == ["baseline", "bitvec", "compact"]
         assert topk(R1234, 1, Variant.BASELINE)[0] is not None
-        rows, _ = drain(R1234, 1, "dedup")
+        rows, _ = drain(R1234, 1, "baseline")
         assert rows[0].total == 1
-        with pytest.raises(ValueError):
-            topk(R1234, 1, "quantum")
-
-
-class TestDedupModes:
-    """Label bookkeeping under ties: labels stay in the guard after extraction."""
-
-    R_TIED = InputSet.from_values((0, 1, 1))
-
-    def test_safe_mode_reports_each_subset_once(self):
-        stream, _ = topk(self.R_TIED, 9, "dedup")
-        rows = [(it.rank, it.total, it.positions) for it in stream]
-        assert rows == [
-            (1, 0, (1,)),
-            (2, 1, (2,)),
-            (3, 1, (1, 2)),
-            (4, 1, (1, 3)),
-            (5, 1, (3,)),
-            (6, 2, (2, 3)),
-            (7, 2, (1, 2, 3)),
-        ]
-
-    @pytest.mark.parametrize("incremental", INCREMENTAL_RULES)
-    def test_edge_sets_agree_with_oracle(self, monkeypatch, incremental):
-        # the guard-set walk stays exact with any of the three relations as its Incr edges
-        monkeypatch.setattr(enumerators, "incremental_children_all", incremental)
-        r = InputSet.from_values((0, 0, 2, 5, 5))
-        rows, _ = drain(r, 31, "dedup")
-        assert [it.total for it in rows] == [s for s, _ in topk_oracle(r, 31)]
-        assert len({mask_from_positions(it.positions) for it in rows}) == 31
+        for slug in ("dedup", "quantum"):
+            with pytest.raises(ValueError):
+                topk(R1234, 1, slug)
 
 
 class TestCompactExpansion:

@@ -1,4 +1,5 @@
-"""Package layout rule: no code in src/ that only tests call.
+"""Package layout rules: no code in src/ that only tests call, and docs that
+name the variants the package has.
 
 Every name a module lists in ``__all__`` or defines at top level (by
 ``def``, ``class`` or assignment; dunders aside) must be used somewhere in
@@ -9,10 +10,14 @@ the exceptions, each with the caller outside ``src/`` that needs it.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "topk_subsets"
+from topk_subsets.enumerators import Variant
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "topk_subsets"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,3 +91,10 @@ def test_every_public_name_is_used_in_the_package(path):
 def test_every_allowed_name_is_defined():
     defined = {name for path in MODULES for name in defined_names(parse(path))}
     assert ALLOWED.keys() <= defined
+
+
+def test_readme_algorithm_bullets_name_the_variants():
+    # a removed variant cannot linger in the docs, nor a new one go undocumented
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Algorithms\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\* `([^`]+)`", section, flags=re.M) == [v.value for v in Variant]

@@ -1,10 +1,12 @@
 """Shift predicates, their generator counterparts, and the final-DAG rules.
 
-The predicates define edges declaratively; the generators are what the
-enumerators run, plus the paper's two thinned incremental relations,
-which live here because only the checks below use them.  Equivalence
-between predicates and generators is checked exhaustively for every
-subset pair up to n=8, then the bit-level rules are checked against the
+The predicates define edges declaratively.  The mandatory static
+generator is the package's; the three incremental relations (every one
+shift, the mandatory form and the paper's modified form) live here,
+because only the checks below use them.  Equivalence between predicates
+and generators is checked exhaustively for every subset pair up to n=8,
+as is each relation's reach: with the mandatory static edges it covers
+every subset from {1}.  Then the bit-level rules are checked against the
 position-level generators, and the whole DAG against its own report.
 """
 
@@ -28,7 +30,6 @@ from topk_subsets.shifts import (
     compact_root,
     final_dag_children,
     final_dag_report,
-    incremental_children_all,
     mandatory_static_children,
     walk_final_dag,
 )
@@ -78,6 +79,12 @@ def is_mandatory_incremental_one_shift(s: SubsetPositions, t: SubsetPositions) -
 def is_modified_mandatory_incremental(s: SubsetPositions, t: SubsetPositions) -> bool:
     """True when t is the unique smallest mandatory incremental child: add position 1."""
     return len(t) == len(s) + 1 and t[1:] == tuple(s) and t[0] == 1 and s[0] > 1
+
+
+def incremental_children_all(s: SubsetPositions, n: int) -> list[SubsetPositions]:
+    """Adds any absent position: n - |s| children."""
+    members = set(s)
+    return [tuple(sorted(s + (j,))) for j in range(1, n + 1) if j not in members]
 
 
 def mandatory_incremental_children(s: SubsetPositions, n: int) -> list[SubsetPositions]:
@@ -172,6 +179,24 @@ def test_predicates_match_generators_exhaustively(n):
             assert children(s, n) == want
         want_static = {t for t in all_subsets if is_mandatory_static_one_shift(s, t)}
         assert {c for c, _ in mandatory_static_children(s, n)} == want_static
+
+
+@pytest.mark.parametrize("incremental", [
+    pytest.param(incremental_children_all, id="incr"),
+    pytest.param(mandatory_incremental_children, id="mincr"),
+    pytest.param(modified_mandatory_incremental_children, id="mmincr"),
+])
+def test_static_and_incremental_edges_reach_every_subset(incremental):
+    # a BFS from {1} over the mandatory static edges plus the relation, n <= 8
+    for n in range(1, 9):
+        queue = [(1,)]
+        seen = set(queue)
+        for s in queue:  # read while it grows: breadth first
+            for child in [c for c, _ in mandatory_static_children(s, n)] + incremental(s, n):
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+        assert seen == set(subsets_of(n)), n
 
 
 @pytest.mark.parametrize("n", range(1, 11))
