@@ -10,17 +10,25 @@ when its stdout is closed before the last line, as in ``topk ... | head``.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from contextlib import nullcontext
+from time import monotonic
 from typing import IO, Sequence
 
-from .core import InputError, expand_deltas, load_input
+from .core import InputError, answer_width, expand_deltas, load_input
 from .enumerators import Variant, topk
 from .shifts import final_dag_report, walk_final_dag
 
 __all__ = ["main"]
 
 _ALGOS = [v.value for v in Variant]
+
+# topk writes a batch of lines, then flushes, per _BATCH lines, or sooner once
+# _WAIT_S seconds have passed since its last write, so a slow stream shows promptly
+_BATCH = 1024
+_WAIT_S = 0.05
 
 
 def _positive_int(text: str) -> int:
@@ -109,22 +117,41 @@ def _write_file(path: str, text: str) -> bool:
     return True
 
 
+class _Counted(io.RawIOBase):
+    """A binary source that counts the bytes read from it."""
+
+    def __init__(self, binary: IO[bytes]) -> None:
+        self.binary, self.count = binary, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.binary.readinto(buffer)
+        self.count += n
+        return n
+
+
 def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "deltas" and args.algo != "compact":
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
     try:
-        if args.input == "-":
-            if hasattr(sys.stdin, "reconfigure"):  # decoded as open() decodes a file
-                sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
+        if args.input == "-" and not hasattr(sys.stdin, "buffer"):  # a text stand-in
             r = load_input(sys.stdin, args.mode, keep=args.k)
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                r = load_input(fh, args.mode, keep=args.k)
+        else:  # the bytes, decoded as open() decodes a file, and counted
+            binary = open(args.input, "rb") if args.input != "-" else nullcontext(sys.stdin.buffer)
+            with binary as fh, _Counted(fh) as counted:
+                r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode, keep=args.k)
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 3
     except UnicodeDecodeError as exc:
-        print(f"error: cannot decode input as UTF-8: {exc}", file=sys.stderr)
+        # name the offset in the input: the decoder's chunk ends at the last byte read
+        at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
+                 else f"bytes in position {at}-{at + width - 1}")
+        print(f"error: cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
+              f"{where}: {exc.reason}", file=sys.stderr)
         return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -135,20 +162,26 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "subsets" and args.algo == "compact":
         stream = expand_deltas(stream)
 
-    # a closed stdout raises BrokenPipeError here, before --metrics is written
+    # no answer holds a position past answer_width - 1 or n: their decimal strings
+    decimal = (list(map(str, range(min(r.n + 1, answer_width(r.exact, args.k)))))
+               if args.output == "subsets" else [])
+    # a closed stdout raises BrokenPipeError at a write, before --metrics is written
+    lines, last = [], monotonic()
     for item in stream:
         if args.output == "sums":
-            out.write(f"{item.rank}\t{item.total}\n")
+            lines.append(f"{item.rank}\t{item.total}\n")
         elif args.output == "subsets":
-            joined = ",".join(map(str, item.positions))
-            out.write(f"{item.rank}\t{item.total}\t{joined}\n")
+            joined = ",".join(map(decimal.__getitem__, item.positions))
+            lines.append(f"{item.rank}\t{item.total}\t{joined}\n")
         else:
-            d = item.delta
-            parent = "-" if d.parent_rank is None else str(d.parent_rank)
-            removed = "-" if d.removed is None else str(d.removed)
-            added = "-" if d.added is None else str(d.added)
-            out.write(f"{item.rank}\t{item.total}\t{parent}\t{removed}\t{added}\n")
-        out.flush()
+            patch = "\t".join("-" if v is None else str(v) for v in item.delta)
+            lines.append(f"{item.rank}\t{item.total}\t{patch}\n")
+        if len(lines) >= _BATCH or monotonic() - last >= _WAIT_S:
+            out.write("".join(lines))
+            out.flush()
+            lines, last = [], monotonic()
+    out.write("".join(lines))
+    out.flush()
 
     emitted = metrics.extractions
     if args.metrics:
@@ -159,11 +192,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # A cut load never gets here: it keeps m + 1 >= j + 1 values, j the bit
     # length of k, which form 2**(j+1) - 1 > k subsets, so r.n is the full n.
     if emitted < args.k:
-        print(
-            f"note: truncated at {emitted} subsets; only {emitted} non-empty "
-            f"subsets exist for n={r.n}",
-            file=sys.stderr,
-        )
+        print(f"note: truncated at {emitted} subsets; only {emitted} non-empty "
+              f"subsets exist for n={r.n}", file=sys.stderr)
     return 0
 
 

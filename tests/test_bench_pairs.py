@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -108,3 +111,25 @@ def test_src_lines_counts_every_python_file_under_src(tmp_path):
     (tmp_path / "src" / "pkg" / "b.py").write_text("w = 4\nv = 5")
     (tmp_path / "src" / "notes.txt").write_text("not code\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 5
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_each_entry_records_the_interpreter_settings(tmp_path, monkeypatch, unbuffered):
+    work = tmp_path / ".perfbench_work" / "w-trace0"
+    work.mkdir(parents=True)
+    (work / "record.json").write_text(json.dumps(
+        {"workload": "w", "seed": 2, "executable": "/usr/bin/python3",
+         "module": str(tmp_path / "src" / "topk_subsets" / "__init__.py")}))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    if unbuffered is None:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    entry = bench_pairs.run_side("parent", str(tmp_path), "w", 2, 25)
+    assert entry == {
+        "side": "parent", "workload": "w", "seed": 2,
+        "module": os.path.join("src", "topk_subsets", "__init__.py"),
+        "env": {"PYTHONUNBUFFERED": unbuffered, "PYTHONDONTWRITEBYTECODE": "1"},
+    }

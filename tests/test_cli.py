@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given
@@ -76,14 +77,22 @@ class TestTopkCommand:
         out, _ = run_ok(["topk", "--k", "2"], capsys)
         assert out == "1\t1\n2\t5\n"
 
-    def test_stdin_is_reconfigured_as_a_file_is_opened(self, capsys, monkeypatch):
-        # a locale-decoded stdin, as under the C locale: strict UTF-8, universal newlines
-        stdin = io.TextIOWrapper(io.BytesIO(b"3\r1\r2"), encoding="latin-1",
+    @pytest.mark.parametrize("data, code, out", [
+        (b"3\r1\r2", 0, "1\t1\n2\t2\n"),
+        (b"3\r1\r\xe9", 3, ""),  # latin-1 would decode it, as the token "\xe9"
+    ], ids=["cr-only", "not-utf-8"])
+    def test_stdin_bytes_are_decoded_as_a_file_is(self, capsys, monkeypatch, data, code, out):
+        # a locale-decoded stdin, as under the C locale: its bytes are read as strict
+        # UTF-8 with universal newlines, and its own text layer is left as it was
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1",
                                  errors="surrogateescape", newline="\n")
         monkeypatch.setattr("sys.stdin", stdin)
-        out, _ = run_ok(["topk", "--k", "2"], capsys)
-        assert out == "1\t1\n2\t2\n"
-        assert (stdin.encoding, stdin.errors, stdin.newlines) == ("utf-8", "strict", "\r")
+        assert main(["topk", "--k", "2"]) == code
+        got, err = capsys.readouterr()
+        assert got == out
+        assert err == ("" if code == 0 else "error: cannot decode input as UTF-8: 'utf-8' "
+                       "codec can't decode byte 0xe9 in position 4: unexpected end of data\n")
+        assert (stdin.encoding, stdin.errors) == ("latin-1", "surrogateescape")
 
     def test_float_mode(self, tmp_path, capsys):
         path = tmp_path / "f.txt"
@@ -169,12 +178,15 @@ class TestTopkCommand:
         # as `topk ... | head -2`: the reader leaves long before the k-th line
         (["topk", "--input", "{wide}", "--k", "100000", "--metrics", "{metrics}"], False,
          [b"1\t1\n", b"2\t2\n"]),
+        # write-through stdout: each batch is one write, and the second one fails
+        (["topk", "--input", "{wide}", "--k", "100000", "--metrics", "{metrics}"], True,
+         [b"1\t1\n", b"2\t2\n"]),
         # the next line fails at its print: the sweep of the next algo outlasts the reader
         (["verify", "--n-max", "12", "--seeds", "5"], True,
          [b"oracle-equivalence[baseline]                 PASS\n"]),
         # as `verify | true`: the whole answer waits in the buffer for the last flush
         (["verify", "--n-max", "4", "--seeds", "1"], False, []),
-    ], ids=["topk", "verify-unbuffered", "verify-buffered"])
+    ], ids=["topk", "topk-unbuffered", "verify-unbuffered", "verify-buffered"])
     def test_closed_stdout_exits_quietly(self, tmp_path, argv, unbuffered, head):
         wide = tmp_path / "wide.txt"
         wide.write_text(" ".join(map(str, range(1, 1001))) + "\n")
@@ -273,6 +285,93 @@ class TestCutLoadOutput:
         want = "".join(f"{item.rank}\t{item.total}\t{','.join(map(str, item.positions))}\n"
                        for item in records)
         assert (code, out) == (0, want)
+
+
+class _Recorder:
+    """A stdout that keeps each write's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _library_lines(text, k, algo, output, mode):
+    """The TSV lines of the library's own records, as cmd_topk formats them."""
+    stream, _ = topk(load_input(text, mode), k, algo)
+    if output == "subsets" and algo == "compact":
+        stream = core.expand_deltas(stream)
+    lines = []
+    for item in stream:
+        if output == "sums":
+            cells = ()
+        elif output == "subsets":
+            cells = (",".join(map(str, item.positions)),)
+        else:
+            cells = tuple("-" if v is None else str(v) for v in item.delta)
+        lines.append("\t".join(map(str, (item.rank, item.total, *cells))) + "\n")
+    return lines
+
+
+def _values_text(mode):
+    stream = splitmix64_stream(5)
+    values = [1 + next(stream) % 1000 for _ in range(40)]
+    return " ".join(str(v / 8) if mode == "float" else str(v) for v in values)
+
+
+class TestWritePath:
+    """cmd_topk writes its lines in batches of _BATCH, or sooner after _WAIT_S."""
+
+    K = 2_500  # two whole batches and a short last one
+
+    @pytest.mark.parametrize("algo, output, mode", [
+        *((algo, output, "int") for algo in ALGOS for output in ("sums", "subsets")),
+        ("compact", "deltas", "int"),
+        *((algo, "subsets", "float") for algo in ALGOS),
+    ], ids="-".join)
+    def test_bytes_match_the_library_records(self, monkeypatch, algo, output, mode):
+        text = _values_text(mode)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdout", stdout := _Recorder())
+        assert main(["topk", "--k", str(self.K), "--algo", algo, "--output", output,
+                     "--mode", mode]) == 0
+        want = _library_lines(text, self.K, algo, output, mode)
+        assert len(want) == self.K
+        assert "".join(stdout.writes) == "".join(want)
+
+    def test_one_write_per_batch(self, monkeypatch):
+        # the clock stands still, so only the batch size starts a write
+        monkeypatch.setattr(cli, "monotonic", lambda: 0.0)
+        monkeypatch.setattr("sys.stdin", io.StringIO(_values_text("int")))
+        monkeypatch.setattr("sys.stdout", stdout := _Recorder())
+        assert main(["topk", "--k", str(self.K), "--output", "subsets"]) == 0
+        assert len(stdout.writes) <= -(-self.K // cli._BATCH) + 1
+        assert [w.count("\n") for w in stdout.writes] == [1024, 1024, 452]
+
+    def test_a_slow_stream_is_written_line_by_line(self, monkeypatch):
+        real = cli.topk
+
+        def paced(*args):
+            stream, metrics = real(*args)
+
+            def items():
+                for item in stream:
+                    time.sleep(0.06)  # longer than _WAIT_S
+                    yield item
+
+            return items(), metrics
+
+        monkeypatch.setattr(cli, "topk", paced)
+        monkeypatch.setattr("sys.stdin", io.StringIO("4 2 1 3"))
+        monkeypatch.setattr("sys.stdout", stdout := _Recorder())
+        assert main(["topk", "--k", "4"]) == 0
+        assert "".join(stdout.writes) == "1\t1\n2\t2\n3\t3\n4\t3\n"
+        assert max(w.count("\n") for w in stdout.writes) <= 2
 
 
 class TestFlagErrors:
@@ -374,6 +473,39 @@ class TestInputErrors:
         stdin, file = [(run.returncode, run.stdout, run.stderr) for run in runs]
         assert stdin == file
         assert file[0] == (0 if data == b"3\r1\r2" else 3)
+
+    @pytest.mark.parametrize("route", ["--input", "< file", "pipe"])
+    def test_decode_error_names_the_offset_in_the_input(self, tmp_path, route):
+        # far past the decoder's first chunk, whose own position would be named
+        data = b"1\n" * 150_000 + b"\xff\n"
+        path = tmp_path / "late.txt"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topk_subsets.__file__)))
+        argv = [sys.executable, "-m", "topk_subsets.cli", "topk", "--k", "2"]
+        with open(path, "rb") as fh:
+            extra, stdin = {"--input": (["--input", str(path)], None), "< file": ([], fh),
+                            "pipe": ([], subprocess.PIPE)}[route]
+            proc = subprocess.Popen(argv + extra, stdin=stdin, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, env=env)
+            out, err = proc.communicate(data if route == "pipe" else None, timeout=60)
+        assert (proc.returncode, out) == (3, b"")
+        assert err.decode() == (
+            "error: cannot decode input as UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 300000: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("at", [0, 8191, 65535, 262143, 300_001])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82(", b"\xf0\x9f\x98"],
+                             ids=["start-byte", "continuation", "end-of-data"])
+    def test_decode_error_offset_matches_a_whole_decode(self, capsys, monkeypatch, at, bad):
+        # a bad sequence at, or straddling, a likely chunk boundary of the decoder
+        data = b"7\n" * (at // 2) + b" " * (at % 2) + bad
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        assert exc.value.start == at
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["topk", "--k", "2"]) == 3
+        assert capsys.readouterr() == ("", f"error: cannot decode input as UTF-8: {exc.value}\n")
 
     def test_decode_error_wins_over_an_earlier_bad_token(self, tmp_path, capsys, monkeypatch):
         # the decoder reads 8 KiB at a time: the 0xff byte lies well past the first

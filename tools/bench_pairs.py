@@ -14,7 +14,11 @@ JSON list, in the format of the committed ``BENCH_*.json`` files: the
 interpreter path is dropped, ``module`` is relative to the measured
 checkout, a change side whose ``src/`` differs from HEAD records
 ``commit: null`` (its ``source_sha256`` names the code), and ``src_lines``
-is the line count of the side's ``src/``.  Then prints each side's median
+is the line count of the side's ``src/``.  ``env`` gives the values (or
+null) of ``PYTHONUNBUFFERED`` and ``PYTHONDONTWRITEBYTECODE``, which every
+run inherits: the one makes the CLI's stdout write-through, the other
+recompiles the package at every start, and both change what a CLI wall
+time holds.  Then prints each side's median
 [quartiles] of every end-to-end metric, the ratio of the change's median
 to the parent's (its base, printed first), the pairs the change won and a
 verdict, and the ``src/`` line count of both sides.  The verdict is the
@@ -47,6 +51,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENV = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")
 
 
 def git(*args: str) -> str:
@@ -66,7 +71,7 @@ def run_side(side: str, root: str, workload: str, seed: int, seconds: int) -> di
     record["module"] = os.path.relpath(record["module"], root)
     if side == "change" and git("status", "--porcelain", "--", "src"):
         record["commit"] = None
-    return {"side": side, **record}
+    return {"side": side, **record, "env": {name: os.environ.get(name) for name in ENV}}
 
 
 def src_lines(root: str) -> int:
