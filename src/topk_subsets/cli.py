@@ -136,6 +136,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "deltas" and args.algo != "compact":
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
     try:
+        if args.input == "-" and sys.stdin is None:  # started with fd 0 closed
+            raise OSError("stdin is closed")
         if args.input == "-" and not hasattr(sys.stdin, "buffer"):  # a text stand-in
             r = load_input(sys.stdin, args.mode, keep=args.k)
         else:  # the bytes, decoded as open() decodes a file, and counted

@@ -29,7 +29,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, le, methodcaller, mul
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -107,11 +107,7 @@ class InputSet:
         if not (plain and values[0] >= 0 and all(map(le, values, islice(values, 1, None)))):
             self._check_each()
         if self.mode == "int":
-            worst = self.n * values[-1]
-            if worst > _INT64_MAX:
-                raise OverflowRiskError(
-                    f"n * max(values) = {worst} exceeds the signed 64-bit range"
-                )
+            _check_int64(self.n, values[-1])
             exact, scale = values, 1
         else:
             # each denominator is a power of two, so the largest is a multiple of all;
@@ -153,6 +149,13 @@ class InputSet:
         return len(self.values)
 
 
+def _check_int64(n: int, top: int) -> None:
+    """The 63-bit guard: raise unless n values up to ``top`` sum inside int64."""
+    worst = n * top
+    if worst > _INT64_MAX:
+        raise OverflowRiskError(f"n * max(values) = {worst} exceeds the signed 64-bit range")
+
+
 # A comment runs from "#" to the next line boundary, exactly as
 # str.splitlines draws them.
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
@@ -177,91 +180,80 @@ def load_input(
 
     ``keep=k`` loads only what the k smallest subset sums can use: the
     :func:`answer_width` smallest values, m+1 with m the number of values
-    <= min(v_k, v_1+...+v_j), j = ``k.bit_length()`` (all of them when
-    m+1 >= n).  The sum term can cut even when k >= n.
-    The cut applies in int mode only: a float parse accepts ``inf`` and
-    ``nan``, so a float cut would need a finiteness scan of every value
-    first.  Every verdict is reached over the full input, so errors and
-    messages do not depend on ``keep``: each token is parsed, an input
-    that fails the 63-bit guard (full n and maximum) is loaded uncut, and
-    the prefix holds the global minimum, which the sign check looks at.
+    <= B = min(v_k, v_1+...+v_j), j = ``k.bit_length()`` (all of them when
+    m+1 >= n).  The sum term can cut even when k >= n.  Adding values can
+    only lower B, so once the values read so far can be cut, their
+    (m+1)-th value is a limit that no value of the final prefix exceeds,
+    and each later block keeps only the values up to it.  The kept values
+    are sorted and cut again whenever their number doubles, so the sorts
+    stay O(n log n) when nothing can be cut, and memory follows the kept
+    values plus one block.  The cut applies in int mode only: a float
+    parse accepts ``inf`` and ``nan``, so a float cut would need a
+    finiteness scan of every value first.  Verdicts and messages do not
+    depend on ``keep``: each token is parsed, the 63-bit guard takes the n
+    and maximum of every value, and the minimum, which the sign check
+    names, is never cut.
 
     The source is taken ``_BLOCK`` characters at a time: a string is
     sliced, not wrapped in a stream, so it is never copied whole, and a
     stream is read.  Each block is cut after its last ``\\n``, which ends
     every comment and every token; the rest is carried into the next
-    block.  So memory peaks at the value list plus one block's tokens, not
-    at the text and a token list of the whole input; a long text with no
-    ``\\n`` is carried whole, which stays correct.  After a bad token the
-    rest of the blocks are still taken, so a read or decode error later in
-    the input is raised in its place, as with a single ``read()``.
+    block, and a long text with no ``\\n`` is carried whole.  After a bad
+    token the rest of the blocks are still taken, so a read or decode error
+    later in the input is raised in its place, as with a single ``read()``.
     """
     if keep is not None and keep < 1:
         raise ValueError("keep must be >= 1")
-    blocks = ((source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
-              if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""))
+    cut = keep is not None and mode == "int"
     parse = int if mode == "int" else float
+    # a last "\n" ends the carried tail, so the loop parses it too
+    blocks = chain((source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
+                   if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""), ("\n",))
     values: list[Number] = []
-    tail = ""
+    n = top = 0
+    tail, limit, cut_at = "", None, 1 if cut else math.inf
     for block in blocks:
-        cut = block.rfind("\n") + 1  # 0: no "\n", the whole block is carried
-        _parse_into(values, parse, tail + block[:cut] if cut else "", blocks)
-        tail = block[cut:] if cut else tail + block
-    _parse_into(values, parse, tail, blocks)
-    if not values:
+        end = block.rfind("\n") + 1  # 0: no "\n", the whole block is carried
+        if not end:
+            tail += block
+            continue
+        new = _parse(parse, tail + block[:end], blocks)
+        tail = block[end:]
+        n += len(new)
+        top = max(top, max(new, default=top))
+        values.extend(new if limit is None else filter(limit.__ge__, new))
+        if len(values) >= cut_at:
+            values.sort()
+            width = answer_width(values, keep)
+            if width <= len(values):
+                del values[width:]
+                limit = values[-1]
+            cut_at = 2 * len(values)
+    if not n:
         raise InputError("empty input: no values found")
-    n = len(values)
-    if mode == "int" and keep is not None and n * max(values) <= _INT64_MAX:
-        return InputSet(tuple(_answer_prefix(values, keep)), mode)
     values.sort()
+    if mode == "int" and values[0] >= 0:  # a negative input is reported as such first
+        _check_int64(n, top)
+    if cut:
+        del values[answer_width(values, keep):]
     return InputSet(tuple(values), mode)
 
 
-def _parse_into(values: list, parse, text: str, blocks: Iterator[str]) -> None:
-    """Append the parsed tokens of ``text``, comments stripped, to ``values``."""
+def _parse(parse, text: str, rest: Iterator[str]) -> list:
+    """The parsed tokens of ``text``, comments stripped."""
     tokens = _COMMENT.sub("", text).split()
     try:
-        values.extend(map(parse, tokens))
+        return list(map(parse, tokens))
     except ValueError:
         # only a failing input pays for this scan, which names the first bad token
         for tok in tokens:
             try:
                 parse(tok)
             except ValueError:
-                for _ in blocks:  # drained, so a later decode error wins
+                for _ in rest:  # drained, so a later decode error wins
                     pass
                 raise InputError(f"unparseable token {tok!r}") from None
         raise
-
-
-def _answer_prefix(values: list, keep: int) -> list:
-    """The :func:`answer_width` smallest of the parsed ints, sorted.
-
-    A sorted stride sample gives an upper estimate of the bound B: the sum
-    of its j smallest is at least v_1+...+v_j, and when keep < n, a sample
-    value a little above the (keep+1)/n quantile likely reaches v_keep.
-    One C-level filter keeps the values up to the first sample value above
-    the estimate, and only they are sorted.  They hold a value above B, so
-    they prove the width, unless the quantile fell below v_keep; then, or
-    when no sample value exceeds the estimate, the whole list is sorted.
-    The result depends on the width alone, not on the sample.
-    """
-    n = len(values)
-    sample = sorted(values[:: max(1, n // 4096)])
-    estimate = sum(sample[: keep.bit_length()])
-    if keep < n:
-        i = (keep + 1) * len(sample) // n
-        estimate = min(estimate, sample[min(i + 8 + i // 8, len(sample) - 1)])
-    i = bisect_right(sample, estimate)
-    if i < len(sample):
-        kept = list(filter(sample[i].__ge__, values))
-        kept.sort()
-        width = answer_width(kept, keep)
-        if width <= len(kept):
-            return kept[:width]
-        del kept
-    values.sort()
-    return values[: answer_width(values, keep)]
 
 
 def answer_width(values: Sequence, k: int) -> int:

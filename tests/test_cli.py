@@ -410,6 +410,15 @@ class TestInputErrors:
         assert main(["topk", "--input", "/no/such/file", "--k", "2"]) == 3
         assert "cannot read input" in capsys.readouterr().err
 
+    def test_closed_stdin(self):
+        # started with fd 0 closed, the interpreter sets sys.stdin to None
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topk_subsets.__file__)))
+        script = 'exec "$0" -m topk_subsets.cli topk --k 1 <&-'
+        run = subprocess.run(["sh", "-c", script, sys.executable], capture_output=True, env=env,
+                             timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            3, b"", b"error: cannot read input: stdin is closed\n")
+
     def test_negative_value(self, tmp_path, capsys):
         path = tmp_path / "neg.txt"
         path.write_text("3 -1\n")

@@ -308,15 +308,29 @@ class TestBlockReads:
         # each value keeps about 36 B; a whole-text split peaks near 100 B per value,
         # and a string copied into a stream adds 4 B per character
         n = 200_000
-        # distinct ints above the small-int cache, in a scrambled order
-        source = make("\n".join(str(10**6 + i * 7919 % n) for i in range(n)))
-        tracemalloc.start()
-        try:
-            load_input(source, keep=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 50 * n
+        for keep in (None, 1):
+            assert _load_peak(make(_scrambled(n)), keep) <= 50 * n, keep
+
+    def test_cut_load_peak_does_not_grow_with_n(self):
+        # the kept values and one block: about 1.2 MB at either size, where a
+        # load that holds every value before cutting peaks at 7.7 and 29.5 MB
+        small, large = (_load_peak(_scrambled(n), keep=1) for n in (200_000, 800_000))
+        assert large <= 1.1 * small
+
+
+def _scrambled(n: int) -> str:
+    """n distinct ints above the small-int cache, one per line, in a scrambled order."""
+    return "\n".join(str(10**6 + i * 7919 % n) for i in range(n))
+
+
+def _load_peak(source, keep) -> int:
+    """Peak bytes traced by tracemalloc while ``load_input(source, keep=keep)`` runs."""
+    tracemalloc.start()
+    try:
+        load_input(source, keep=keep)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- answer-bounded load (keep=k) ----------------------------------------------
@@ -394,22 +408,34 @@ def _run(r: InputSet, k: int, variant: Variant):
 class TestAnswerBoundedLoad:
     @given(
         st.lists(
-            st.one_of(st.sampled_from(["0", "0", "1", "2", "7"]), st.sampled_from(_BAD_TOKENS)),
+            st.tuples(
+                # about one token in ten is bad, so most texts are accepted and cut
+                st.sampled_from(["0", "0", "1", "2", "3", "5", "7"] * 4 + _BAD_TOKENS),
+                st.sampled_from([" ", "\n"]),
+            ),
             min_size=1,
-            max_size=10,
-        ).map(" ".join),
+            max_size=16,
+        ).map(lambda pairs: "".join(tok + sep for tok, sep in pairs)),
         st.integers(1, 12),
     )
     @example("1 2 3 4611686018427387904", 1)
     @example("5 1 2 x", 1)
     @example("3 -1 0 0 0", 2)
+    # each arrives in a late block, after the values read so far were cut to 2
+    @example("7\n7\n2\n2\n1\n0\n5\n-1\n", 1)
+    @example("7\n7\n2\n2\n1\n0\n5\nx\n", 1)
+    @example("7\n7\n2\n2\n1\n0\n5\n4611686018427387904\n", 1)
+    @example("1\n7\n2\n", 1)  # the limit is 7, the (m+1)-th value, not 1, the m-th
     def test_same_verdict_or_a_prefix(self, text, k):
         full = _outcome(lambda: load_input(text).values)
-        cut = _outcome(lambda: load_input(text, keep=k).values)
-        if isinstance(full, tuple):  # rejected: same class and message
-            assert cut == full
-        else:
-            assert cut == full[: _cut_length(load_input(text).values, k)]
+        if isinstance(full, list):
+            full = full[: _cut_length(load_input(text).values, k)]
+        # tiny blocks cut between blocks; the default one reads these texts whole
+        for block in (2, 4, core._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_BLOCK", block)
+                # a rejection has the same class and message, an answer is cut
+                assert _outcome(lambda: load_input(text, keep=k).values) == full, block
 
     @settings(max_examples=200)  # all-equal lists never cut, so draw more
     @given(_tied_case())
@@ -431,10 +457,10 @@ class TestAnswerBoundedLoad:
         "values",
         [
             [v % 1000 for v in range(20_000)],  # each value 20 times
-            [7] * 20_000,  # no cut possible: the threshold keeps all
-            [0] * 19_000 + list(range(1000)),  # the threshold keeps only the tied zeros
+            [7] * 20_000,  # no cut possible: the kept values double until the end
+            [0] * 19_000 + list(range(1000)),  # the cut keeps the tied zeros and one more
             list(range(20_000, 0, -1)),
-            # the stride sample sees only the zeros: the threshold keeps too few values
+            # every fourth value is 0: the zeros come in as the limit falls
             [0 if i % 4 == 0 else i for i in range(20_000)],
             # k >= 3000 = n leaves only the sum term to bind
             list(range(1, 3001)),
@@ -485,13 +511,18 @@ class TestAcceptPathHasNoPerValueLoop:
         assert _core_line_events(lambda: load_input(lines, mode)) == small
 
     def test_load_input_with_keep(self):
-        # 20 and 2000 values both filter below one sampled threshold
-        small = _core_line_events(lambda: load_input(" ".join(map(str, range(20, 0, -1))), keep=1))
-        lines = "\n".join(f"{v} # c" for v in range(2000, 0, -1))
+        # both texts have the same shape, lines with a comment and no final "\n", so
+        # both fit one block and are read as the same two pieces
+        def text(values):
+            return "\n".join(f"{v} # c" for v in values)
+
+        # 20 and 2000 values both cut to the 1 smallest and the next
+        small = _core_line_events(lambda: load_input(text(range(20, 0, -1)), keep=1))
+        lines = text(range(2000, 0, -1))
         assert _core_line_events(lambda: load_input(lines, keep=1)) == small
         # keep >= n: 20 and 2000 values both cut by the sum of the 11 smallest
         small = _core_line_events(
-            lambda: load_input(" ".join(map(str, [10**6, *range(19, 0, -1)])), keep=2000))
+            lambda: load_input(text([10**6, *range(19, 0, -1)]), keep=2000))
         assert _core_line_events(lambda: load_input(lines, keep=2000)) == small
 
     @pytest.mark.parametrize("mode", ["int", "float"])
