@@ -4,16 +4,19 @@ Exit codes: 0 success (including a truncated answer, which adds a notice
 on stderr), 2 bad flags or an output file that cannot be written, 3
 unusable input data.  Every subcommand exits 141 (128 + SIGPIPE, what a
 shell reports for a filter killed by a closed pipe) without a traceback
-when its stdout is closed before the last line, as in ``topk ... | head``.
+when its stdout is closed before the last line, as in ``topk ... | head``,
+or at start, when it does no work.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import sys
 from contextlib import nullcontext
+from itertools import product
 from time import monotonic
 from typing import IO, Sequence
 
@@ -41,16 +44,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"values must be >= 1, got {min(values)}")
-    return values
+def _comma_list(item):
+    """An argparse type: a comma-separated list of item(entry), blank entries skipped."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(tok) for tok in map(str.strip, text.split(",")) if tok]
+        except ValueError as exc:  # Variant's: name the choices
+            raise argparse.ArgumentTypeError(f"{exc}, expected from {','.join(_ALGOS)}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="self-check against the brute-force oracle")
     p.add_argument("--n-max", type=_positive_int, default=12)
     p.add_argument("--seeds", type=_positive_int, default=25)
-    p.add_argument("--algos", type=str, default=",".join(_ALGOS),
+    p.add_argument("--algos", type=_comma_list(Variant), default=",".join(_ALGOS),
                    help="comma-separated subset of " + ",".join(_ALGOS))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time and space of each cell of an (n, k, algo) grid")
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--k-list", type=_int_list, required=True)
-    p.add_argument("--algos", type=str, default="baseline,compact")
+    p.add_argument("--n-list", type=_comma_list(_positive_int), required=True)
+    p.add_argument("--k-list", type=_comma_list(_positive_int), required=True)
+    p.add_argument("--algos", type=_comma_list(Variant), default="baseline,compact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=_positive_int, default=1)
     p.set_defaults(func=cmd_bench)
@@ -91,20 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dag)
 
     return parser
-
-
-def _parse_algos(parser: argparse.ArgumentParser, text: str) -> list[Variant]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok not in _ALGOS:
-            parser.error(f"unknown algo {tok!r}, expected from {','.join(_ALGOS)}")
-        out.append(Variant(tok))
-    if not out:
-        parser.error("no algos given")
-    return out
 
 
 def _write_file(path: str, text: str) -> bool:
@@ -135,6 +125,7 @@ class _Counted(io.RawIOBase):
 def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "deltas" and args.algo != "compact":
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
+    counted = None
     try:
         if args.input == "-" and sys.stdin is None:  # started with fd 0 closed
             raise OSError("stdin is closed")
@@ -148,6 +139,9 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 3
     except UnicodeDecodeError as exc:
+        if counted is None:  # a text stand-in for stdin: no bytes were counted
+            print(f"error: cannot decode input: {exc}", file=sys.stderr)
+            return 3
         # name the offset in the input: the decoder's chunk ends at the last byte read
         at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
         where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
@@ -187,8 +181,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     emitted = metrics.extractions
     if args.metrics:
-        names = ("total_insertions", "peak_size", "extractions", "prunes", "elapsed_ns")
-        text = "".join(f"{name}={getattr(metrics, name)}\n" for name in names)
+        text = "".join(f"{name}={value}\n" for name, value in dataclasses.asdict(metrics).items())
         if not _write_file(args.metrics, f"{text}reported_count={emitted}\n"):
             return 2
     # A cut load never gets here: it keeps m + 1 >= j + 1 values, j the bit
@@ -206,65 +199,52 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if args.n_max > 16:
         parser.error("--n-max is capped at 16 (oracle cost doubles per step)")
-    algos = _parse_algos(parser, args.algos)
-    failures: list[str] = []
 
-    def report(name: str, problem: "str | None") -> None:
-        status = "PASS" if problem is None else f"FAIL {problem}"
-        print(f"{name:<44s} {status}")
-        if problem is not None:
-            failures.append(f"{name}: {problem}")
+    def report(name: str, problem: "str | None") -> bool:
+        print(f"{name:<44s} {'PASS' if problem is None else f'FAIL {problem}'}")
+        return problem is not None
 
-    for variant in algos:
-        problem = None
-        for n in range(1, args.n_max + 1):
-            k = (1 << n) - 1
-            for seed in range(args.seeds):
-                inst = gen_instance(n, seed)
-                want = [s for s, _ in all_subsets_sorted(inst)[:k]]
-                # a crash is as much a failed check as a wrong answer
-                try:
-                    stream, _ = topk(inst, k, variant)
-                    got = [item.total for item in stream]
-                except Exception as exc:
-                    problem = f"(n={n}, seed={seed}, k={k}) raised {exc!r}"
-                    break
-                if got != want:
-                    mismatch = [
-                        i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]
-                    ]
-                    first_bad = mismatch[0] if mismatch else min(len(got), len(want))
-                    problem = f"(n={n}, seed={seed}, k={k}) rank {first_bad + 1}"
-                    break
-            if problem:
-                break
-        report(f"oracle-equivalence[{variant.value}]", problem)
+    # instance-major: each instance and its oracle answer serve every variant,
+    # which keeps its first failure (a crash is as much one as a wrong answer)
+    first_problem = dict.fromkeys(args.algos)
+    for n, seed in product(range(1, args.n_max + 1), range(args.seeds)):
+        pending = [variant for variant, problem in first_problem.items() if problem is None]
+        if not pending:
+            break
+        k, inst = (1 << n) - 1, gen_instance(n, seed)
+        want, where = [s for s, _ in all_subsets_sorted(inst)], f"(n={n}, seed={seed}, k={k})"
+        for variant in pending:
+            try:
+                got = [item.total for item in topk(inst, k, variant)[0]]
+            except Exception as exc:
+                first_problem[variant] = f"{where} raised {exc!r}"
+                continue
+            if got != want:
+                first_bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                                 min(len(got), len(want)))
+                first_problem[variant] = f"{where} rank {first_bad + 1}"
+    failed = sum(report(f"oracle-equivalence[{v.value}]", p) for v, p in first_problem.items())
 
     for n in range(1, min(args.n_max, 10) + 1):
         try:
             problems = final_dag_report(n)
         except Exception as exc:
             problems = [f"walk raised {exc!r}"]
-        report(
-            f"structure[final-dag n={n}]",
-            problems[0] if problems else None,
-        )
+        failed += report(f"structure[final-dag n={n}]", problems[0] if problems else None)
 
-    if failures:
-        print(f"{len(failures)} check(s) failed", file=sys.stderr)
+    if failed:
+        print(f"{failed} check(s) failed", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .bench import run_matrix
+    from .bench import Cell, run_matrix
 
-    variants = _parse_algos(parser, args.algos)
-    print(f"{'n':>6} {'k':>9} {'variant':<10} {'median_ns':>14} reps "
-          f"{'total_insertions':>16} {'peak_size':>9} {'extractions':>11}")
-    for c in run_matrix(args.n_list, args.k_list, variants, args.seed, args.reps):
-        print(f"{c.n:>6} {c.k:>9} {c.variant:<10} {c.elapsed_ns:>14} {c.reps:>4} "
-              f"{c.total_insertions:>16} {c.peak_size:>9} {c.extractions:>11}")
+    spec = ">6 >9 <10 >14 >4 >16 >9 >11".split()  # one per Cell field
+    print(*map(format, [name.replace("elapsed", "median") for name in Cell._fields], spec))
+    for cell in run_matrix(args.n_list, args.k_list, args.algos, args.seed, args.reps):
+        print(*map(format, cell, spec))
     return 0
 
 
@@ -292,6 +272,8 @@ def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # started with fd 1 closed: as a pipe closed before the first line
+        return 141
     try:
         code = args.func(args, parser)
         sys.stdout.flush()  # a buffered run meets a closed stdout here, if not before

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, mostly through in-process main() calls."""
 
+import codecs
 import contextlib
 import hashlib
 import io
@@ -181,9 +182,8 @@ class TestTopkCommand:
         # write-through stdout: each batch is one write, and the second one fails
         (["topk", "--input", "{wide}", "--k", "100000", "--metrics", "{metrics}"], True,
          [b"1\t1\n", b"2\t2\n"]),
-        # the next line fails at its print: the sweep of the next algo outlasts the reader
-        (["verify", "--n-max", "12", "--seeds", "5"], True,
-         [b"oracle-equivalence[baseline]                 PASS\n"]),
+        # the first line fails at its print: the oracle sweep outlasts the reader
+        (["verify", "--n-max", "12", "--seeds", "5"], True, []),
         # as `verify | true`: the whole answer waits in the buffer for the last flush
         (["verify", "--n-max", "4", "--seeds", "1"], False, []),
     ], ids=["topk", "topk-unbuffered", "verify-unbuffered", "verify-buffered"])
@@ -394,6 +394,9 @@ class TestFlagErrors:
             ["bench", "--n-list", "4", "--k-list", "3", "--algos", "dedup"],
             ["bench", "--n-list", "0", "--k-list", "5"],
             ["bench", "--n-list", "4", "--k-list", "-1"],
+            ["verify", "--algos", ","],
+            ["bench", "--n-list", "4", "--k-list", "3", "--algos", ""],
+            ["bench", "--n-list", "4,x", "--k-list", "3"],
             ["dag", "--n", "4"],
             ["dag", "--n", "11", "--dot", "x.dot"],
         ],
@@ -403,6 +406,11 @@ class TestFlagErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_comma_lists_skip_blanks_and_spaces(self):
+        args = cli.build_parser().parse_args(
+            ["bench", "--n-list", " 4, 5", "--k-list", "3,,", "--algos", " compact ,"])
+        assert (args.n_list, args.k_list, args.algos) == ([4, 5], [3], [Variant.ONDEMAND_COMPACT])
 
 
 class TestInputErrors:
@@ -418,6 +426,18 @@ class TestInputErrors:
                              timeout=60)
         assert (run.returncode, run.stdout, run.stderr) == (
             3, b"", b"error: cannot read input: stdin is closed\n")
+
+    @pytest.mark.parametrize("argv", ["topk --k 1 --metrics {out}", "verify",
+                                      "dag --n 2 --dot {out}"], ids=["topk", "verify", "dag"])
+    def test_closed_stdout(self, tmp_path, argv):
+        # started with fd 1 closed, sys.stdout is None: as a pipe closed before the first line
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topk_subsets.__file__)))
+        out = tmp_path / "out.txt"
+        script = f'exec "$0" -m topk_subsets.cli {argv.format(out=out)} >&-'
+        run = subprocess.run(["sh", "-c", script, sys.executable], input=b"3 7\n",
+                             capture_output=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (141, b"", b"")
+        assert not out.exists()
 
     def test_negative_value(self, tmp_path, capsys):
         path = tmp_path / "neg.txt"
@@ -460,6 +480,13 @@ class TestInputErrors:
         path.write_bytes(b"1 2 \xff 3\n")
         assert main(["topk", "--input", str(path), "--k", "2"]) == 3
         assert capsys.readouterr() == ("", self._UNDECODABLE)
+
+    def test_undecodable_text_stand_in_stdin(self, capsys, monkeypatch):
+        # a sys.stdin with no .buffer decodes for itself: no input offset is known
+        monkeypatch.setattr("sys.stdin", codecs.getreader("utf-8")(io.BytesIO(b"1 2 \xff 3\n")))
+        assert main(["topk", "--k", "3"]) == 3
+        assert capsys.readouterr() == ("", "error: cannot decode input: 'utf-8' codec can't "
+                                           "decode byte 0xff in position 4: invalid start byte\n")
 
     def test_undecodable_stdin(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"1 2 \xff 3\n"), encoding="utf-8")
@@ -535,6 +562,12 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert len(lines) == len(ALGOS) + 5  # one line per algo, five structure widths
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_a_repeated_algo_gives_one_line(self, capsys):
+        out, _ = run_ok(["verify", "--n-max", "3", "--seeds", "1", "--algos", "compact,compact"],
+                        capsys)
+        names = [line.split()[0] for line in out.splitlines()]
+        assert names == ["oracle-equivalence[compact]"] + ["structure[final-dag"] * 3
 
     def test_detects_broken_shift_rule(self, capsys, monkeypatch):
         # disable one move type: the walk loses nodes and the sums drift

@@ -1,5 +1,5 @@
 """Package layout rules: no code in src/ that only tests call, and docs that
-name the variants the package has.
+name the variants and the CLI subcommands the package has.
 
 Every name a module lists in ``__all__`` or defines at top level (by
 ``def``, ``class`` or assignment; dunders aside) must be used somewhere in
@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from topk_subsets.cli import build_parser
 from topk_subsets.enumerators import Variant
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -98,3 +99,13 @@ def test_readme_algorithm_bullets_name_the_variants():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Algorithms\n", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\* `([^`]+)`", section, flags=re.M) == [v.value for v in Variant]
+
+
+def test_readme_cli_sections_follow_the_parser():
+    # one `### ` section per subcommand, in the parser's order
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    usage = build_parser().format_usage()  # "usage: topk-subsets [-h] {topk,verify,...} ..."
+    commands = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+    assert re.findall(r"^### (\S+)$", section, flags=re.M) == commands
+    assert commands == ["topk", "verify", "bench", "dag"]
