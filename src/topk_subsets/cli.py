@@ -15,14 +15,14 @@ import dataclasses
 import io
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import product
 from time import monotonic
 from typing import IO, Sequence
 
 from .core import InputError, answer_width, expand_deltas, load_input
 from .enumerators import Variant, topk
-from .shifts import final_dag_report, walk_final_dag
+from .shifts import final_dag_report, pattern_text, walk_final_dag
 
 __all__ = ["main"]
 
@@ -97,12 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn(line: str) -> None:
+    """Print a line on stderr, or drop it when stderr is closed: the exit code tells."""
+    if sys.stderr is not None:  # print(file=None) would write it to stdout
+        with suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def _write_file(path: str, text: str) -> bool:
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        _warn(f"error: cannot write {path}: {exc.strerror}")
         return False
     return True
 
@@ -136,21 +143,21 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             with binary as fh, _Counted(fh) as counted:
                 r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode, keep=args.k)
     except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        _warn(f"error: cannot read input: {exc}")
         return 3
     except UnicodeDecodeError as exc:
         if counted is None:  # a text stand-in for stdin: no bytes were counted
-            print(f"error: cannot decode input: {exc}", file=sys.stderr)
+            _warn(f"error: cannot decode input: {exc}")
             return 3
         # name the offset in the input: the decoder's chunk ends at the last byte read
         at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
         where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
                  else f"bytes in position {at}-{at + width - 1}")
-        print(f"error: cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
-              f"{where}: {exc.reason}", file=sys.stderr)
+        _warn(f"error: cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
+              f"{where}: {exc.reason}")
         return 3
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 3
 
     stream, metrics = topk(r, args.k, Variant(args.algo))
@@ -187,8 +194,8 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # A cut load never gets here: it keeps m + 1 >= j + 1 values, j the bit
     # length of k, which form 2**(j+1) - 1 > k subsets, so r.n is the full n.
     if emitted < args.k:
-        print(f"note: truncated at {emitted} subsets; only {emitted} non-empty "
-              f"subsets exist for n={r.n}", file=sys.stderr)
+        _warn(f"note: truncated at {emitted} subsets; only {emitted} non-empty "
+              f"subsets exist for n={r.n}")
     return 0
 
 
@@ -233,7 +240,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         failed += report(f"structure[final-dag n={n}]", problems[0] if problems else None)
 
     if failed:
-        print(f"{failed} check(s) failed", file=sys.stderr)
+        _warn(f"{failed} check(s) failed")
         return 1
     return 0
 
@@ -255,12 +262,11 @@ def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     node_count = 0
     edge_count = 0
     for node, children in walk_final_dag(args.n):
-        pattern = "".join(map(str, node[9]))
+        pattern = pattern_text(node)
         lines.append(f'  "{pattern}";')
         node_count += 1
         for child, edge in children:
-            child_pattern = "".join(map(str, child[9]))
-            lines.append(f'  "{pattern}" -> "{child_pattern}" [label="{edge.value}"];')
+            lines.append(f'  "{pattern}" -> "{pattern_text(child)}" [label="{edge.value}"];')
             edge_count += 1
     lines.append("}")
     if not _write_file(args.dot, "\n".join(lines) + "\n"):

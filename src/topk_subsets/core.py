@@ -4,22 +4,9 @@ Conventions used throughout the package:
 
 * The input is a list of non-negative numbers kept in non-decreasing order.
   Positions are 1-based: position ``p`` names the p-th smallest value.
-* A subset is written either as its strictly increasing tuple of positions
-  or as a bit pattern ``B[1..n]`` with ``B[p] = 1`` when position ``p`` is
-  a member.  Helpers below convert between the two.
-* Any pattern with at least one set bit is summarized by cursor indices
-  that let successor rules run in constant time:
-
-  - ``first_after_gap``: position of the first 1 that follows the first
-    run of 0s, or 0 when no 1 follows that run.  When the pattern starts
-    with 0 the first run of 0s is the leading one, so this is simply the
-    first set position.  The value is never 1.
-  - ``prefix_end``: last position of the leading run of 1s, or 0 when the
-    pattern starts with 0.
-  - ``last_one``: position of the rightmost 1, always in ``[1, n]``.
-  - ``second_after_gap``: position of the first 1 strictly after
-    ``first_after_gap``, or 0 when there is none or ``first_after_gap``
-    is itself 0.
+* A subset is written as its strictly increasing tuple of positions; the
+  bit-pattern form of the final DAG's nodes is laid out in
+  :mod:`topk_subsets.shifts`.
 """
 
 from __future__ import annotations
@@ -27,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -44,8 +32,6 @@ __all__ = [
     "load_input",
     "answer_width",
     "unscale",
-    "positions_from_bits",
-    "cursors_from_bits",
     "expand_deltas",
 ]
 
@@ -142,7 +128,10 @@ class InputSet:
 
     @classmethod
     def from_values(cls, values: Iterable[Number], mode: str = "int") -> "InputSet":
-        return cls(tuple(sorted(values)), mode)
+        values = tuple(values)
+        with suppress(TypeError):  # values that do not compare: the checks name the bad one
+            values = tuple(sorted(values))
+        return cls(values, mode)
 
     @property
     def n(self) -> int:
@@ -281,33 +270,6 @@ def unscale(total: int, scale: int) -> float:
         return total / scale
     except OverflowError:
         return math.inf
-
-
-# -- bit-pattern helpers -----------------------------------------------------
-
-def positions_from_bits(bits: bytes) -> tuple[int, ...]:
-    """1-based positions of a pattern's members, in increasing order.
-
-    ``bits`` holds one byte per position; any non-zero byte is a member.
-    The scan visits every byte, the O(n) retrieval of a bit-vector record.
-    """
-    return tuple([i for i, bit in enumerate(bits, 1) if bit])
-
-
-def cursors_from_bits(b: bytes) -> tuple[int, int, int, int]:
-    """Recompute the cursor quadruple of a byte pattern from scratch.
-
-    Returns ``(first_after_gap, prefix_end, last_one, second_after_gap)``.
-    This is the reference definition that incrementally maintained cursors
-    are checked against; it scans the whole pattern and is O(n).
-    """
-    b = bytes(map(bool, b))  # any non-zero byte is a member
-    if 1 not in b:
-        raise InputError("pattern must contain at least one set bit")
-    prefix_end = len(b) - len(b.lstrip(b"\x01"))  # 1-based: run covers 1..prefix_end
-    first_after_gap = b.find(1, prefix_end) + 1
-    second_after_gap = b.find(1, first_after_gap) + 1 if first_after_gap else 0
-    return (first_after_gap, prefix_end, b.rfind(1) + 1, second_after_gap)
 
 
 # -- result records ----------------------------------------------------------

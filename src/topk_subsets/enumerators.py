@@ -37,9 +37,10 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
-from .core import Delta, InputSet, RankedSubset, _new, positions_from_bits, unscale
+from .core import InputSet, RankedSubset, _new, unscale
 from .pool import BoundedPool, RunMetrics
-from .shifts import bit_root, compact_children, compact_root, final_dag_children
+from .shifts import (bit_root, bitvec_record, compact_children, compact_root, delta_record,
+                     final_dag_children, node_total)
 
 __all__ = ["Variant", "topk"]
 
@@ -64,19 +65,6 @@ def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
 
 def _positions_record(rank: int, node: tuple) -> RankedSubset:
     return _new(RankedSubset, (rank, node[1], node[0], None))
-
-
-def _bitvec_record(rank: int, node) -> RankedSubset:
-    # node[5] is the exact total and node[9] the pattern (layout in shifts).
-    # Decoding scans all n bytes per record in Python: that is the paper's
-    # O(n) retrieval, which acceptance tests 5-6 measure against compact.  A
-    # C-level bytes.find scan hides the n in the constant and fails both.
-    return _new(RankedSubset, (rank, node[5], positions_from_bits(node[9]), None))
-
-
-def _delta_record(rank: int, node) -> RankedSubset:
-    # node[5] is the exact total, node[6:] the (parent_rank, removed, added) edge
-    return _new(RankedSubset, (rank, node[5], None, _new(Delta, node[6:])))
 
 
 def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
@@ -140,7 +128,6 @@ def topk(
         return _best_first(r, k_eff, ((1,), r.exact[0]), _baseline_successors,
                            _positions_record, itemgetter(1), expand_all=True)
     if variant is Variant.ONDEMAND_BITVEC:
-        return _best_first(r, k_eff, bit_root(r), final_dag_children, _bitvec_record,
-                           itemgetter(5))
-    return _best_first(r, k_eff, compact_root(r), compact_children, _delta_record,
-                       itemgetter(5))
+        return _best_first(r, k_eff, bit_root(r), final_dag_children, bitvec_record,
+                           node_total)
+    return _best_first(r, k_eff, compact_root(r), compact_children, delta_record, node_total)

@@ -8,14 +8,20 @@ which every non-root subset has exactly one parent and every node has at
 most two children.  Walking that DAG best-first enumerates subsets in
 non-decreasing sum order without any duplicate suppression.
 
-A node is a plain tuple, laid out once here:
+A node is a plain tuple, laid out here and indexed in no other module:
 
-* 0-3: the cursors ``first_after_gap``, ``prefix_end``, ``last_one``,
-  ``second_after_gap`` defined in :mod:`topk_subsets.core`;
+* 0-3: the cursors, which let the rule run in O(1): ``first_after_gap``,
+  the first member after the first non-member (so the first member when
+  1 is not one; never 1), or 0 when none follows; ``prefix_end``, the
+  end of the leading run 1, 2, ..., or 0 when 1 is not a member;
+  ``last_one``, the largest member; ``second_after_gap``, the first
+  member after ``first_after_gap``, or 0 when there is none or
+  ``first_after_gap`` is 0;
 * 4: the size, 5: the exact total;
 * 6-8: ``(parent_rank, removed, added)``, the edge from the node's one
   parent, stamped with its emission rank (None, None, 1 at the root);
-* 9: the pattern (bytes, one per position), on bit-vector nodes only.
+* 9: the pattern, on bit-vector nodes only: bytes, one per position,
+  any non-zero byte a member.
 
 There is one successor rule, :func:`compact_children`: it updates the
 cursors in O(1) per child and emits a (removed, added) delta instead of a
@@ -34,17 +40,23 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator
 
-from .core import InputSet, SubsetPositions, cursors_from_bits, positions_from_bits
+from .core import Delta, InputSet, RankedSubset, SubsetPositions, _new
 
 __all__ = [
     "EdgeType",
     "mandatory_static_children",
     "compact_root",
     "compact_children",
+    "node_total",
+    "delta_record",
+    "positions_from_bits",
+    "pattern_text",
     "bit_root",
     "final_dag_children",
+    "bitvec_record",
     "walk_final_dag",
     "final_dag_report",
 ]
@@ -66,6 +78,13 @@ def _prefix_run_len(s: SubsetPositions) -> int:
     while m < len(s) and s[m] == m + 1:
         m += 1
     return m
+
+
+def _cursors(s: SubsetPositions) -> tuple[int, int, int, int]:
+    """The cursors of a subset, from its positions: the reference for the rule's updates."""
+    pe = _prefix_run_len(s)
+    fag = s[pe] if pe < len(s) else 0
+    return (fag, pe, s[-1], s[pe + 1] if fag and pe + 1 < len(s) else 0)
 
 
 def mandatory_static_children(
@@ -123,7 +142,25 @@ def compact_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple]:
     return out
 
 
+node_total = itemgetter(5)  # the best-first walk's sort key: a node's exact total
+
+
+def delta_record(rank: int, node: tuple) -> RankedSubset:
+    """The record of a compact node: its total and the edge from its parent."""
+    return _new(RankedSubset, (rank, node[5], None, _new(Delta, node[6:])))
+
+
 # -- bit-vector nodes: a compact node plus its pattern --------------------------
+
+
+def positions_from_bits(bits: bytes) -> tuple[int, ...]:
+    """The members of a pattern, in increasing order: an O(n) scan of every byte."""
+    return tuple([i for i, bit in enumerate(bits, 1) if bit])
+
+
+def pattern_text(node: tuple) -> str:
+    """A bit-vector node's pattern as digits, as the DOT export names it."""
+    return "".join(map(str, node[9]))
 
 
 def bit_root(r: InputSet) -> tuple:
@@ -146,6 +183,16 @@ def final_dag_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple
         b[child[8] - 1] = 1
         out.append(child + (bytes(b),))
     return out
+
+
+def bitvec_record(rank: int, node: tuple) -> RankedSubset:
+    """The record of a bit-vector node: its total and its decoded pattern.
+
+    Decoding scans all n bytes in Python: the paper's O(n) retrieval, which
+    acceptance tests 5-6 measure against compact.  A C-level bytes.find
+    scan hides the n in the constant and fails both.
+    """
+    return _new(RankedSubset, (rank, node[5], positions_from_bits(node[9]), None))
 
 
 # -- structural checkers --------------------------------------------------------
@@ -176,10 +223,10 @@ def final_dag_report(n: int) -> list[str]:
 
     Returns a list of problem descriptions, empty when all hold.  Each
     node of :func:`walk_final_dag` is checked against definitions that do
-    not use the rule: its cursors against :func:`cursors_from_bits`, its
-    size and total against the decoded positions, and its (child, edge)
-    list against the position-level rule, the mandatory static children
-    plus (1,) + s when s is (2, ..., |s| + 1) and |s| < n.  Sums must not
+    not use the rule: its cursors, size and total against the decoded
+    positions, and its (child, edge) list against the position-level rule,
+    the mandatory static children plus (1,) + s when s is
+    (2, ..., |s| + 1) and |s| < n.  Sums must not
     decrease along an edge, each subset must be generated once, and all
     2**n - 1 must be covered.  Stops after 20 problems or 2**n nodes, so
     a broken rule cannot loop.
@@ -187,12 +234,10 @@ def final_dag_report(n: int) -> list[str]:
     problems: list[str] = []
     seen = {bytes([1]) + bytes(n - 1)}  # the root's pattern
     for count, (node, children) in enumerate(walk_final_dag(n), 1):
-        bits = node[9]
-        pattern = "".join(map(str, bits))
-        quad = cursors_from_bits(bits)
+        pattern, s = pattern_text(node), positions_from_bits(node[9])
+        quad = _cursors(s)
         if node[:4] != quad:
             problems.append(f"{pattern}: cursors {node[:4]} != recomputed {quad}")
-        s = positions_from_bits(bits)
         if node[4] != len(s):
             problems.append(f"{pattern}: size field out of step")
         if node[5] != sum(s):
@@ -207,9 +252,7 @@ def final_dag_report(n: int) -> list[str]:
             if child[5] < node[5]:
                 problems.append(f"{pattern} -{edge.value}-> sum decreases")
             if child[9] in seen:
-                problems.append(
-                    f"{''.join(map(str, child[9]))} generated twice (second parent {pattern})"
-                )
+                problems.append(f"{pattern_text(child)} generated twice (second parent {pattern})")
             seen.add(child[9])
         if len(problems) >= 20 or count >= 1 << n:
             break

@@ -439,6 +439,25 @@ class TestInputErrors:
         assert (run.returncode, run.stdout, run.stderr) == (141, b"", b"")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, k, code, out", [
+        (b"3\n", 5, 0, b"1\t3\n"),  # the truncation notice is dropped
+        (b"3 x\n", 1, 3, b""),  # and so is the input error
+    ], ids=["note", "error"])
+    def test_closed_stderr(self, text, k, code, out):
+        # started with fd 2 closed, a write to sys.stderr raises OSError
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topk_subsets.__file__)))
+        script = f'exec "$0" -m topk_subsets.cli topk --k {k} 2>&-'
+        run = subprocess.run(["sh", "-c", script, sys.executable], input=text,
+                             capture_output=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, b"")
+
+    def test_no_stderr(self, capsys, monkeypatch):
+        # print(file=None) would put the notice into the answer on stdout
+        monkeypatch.setattr("sys.stdin", io.StringIO("3"))
+        monkeypatch.setattr("sys.stderr", None)
+        assert main(["topk", "--k", "5"]) == 0
+        assert capsys.readouterr().out == "1\t3\n"
+
     def test_negative_value(self, tmp_path, capsys):
         path = tmp_path / "neg.txt"
         path.write_text("3 -1\n")

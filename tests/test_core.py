@@ -22,12 +22,11 @@ from topk_subsets.core import (
     NegativeValueError,
     OverflowRiskError,
     RankedSubset,
-    cursors_from_bits,
     expand_deltas,
     load_input,
-    positions_from_bits,
 )
 from topk_subsets.enumerators import Variant, topk
+from topk_subsets.shifts import _cursors, positions_from_bits
 from topk_subsets.oracle import all_subsets_sorted
 
 
@@ -107,6 +106,15 @@ class TestInputSet:
         for bad in (math.nan, math.inf):
             with pytest.raises(InputError):
                 InputSet.from_values([1.0, bad], mode="float")
+
+    @pytest.mark.parametrize("values, bad", [
+        ([1, "a"], "'a'"), (["a"], "'a'"), ([1, None], "None"), ([2, 1j], "1j"),
+    ])
+    def test_from_values_names_a_value_that_does_not_compare(self, values, bad):
+        # sorted() raises TypeError on these; the checks name the value instead
+        with pytest.raises(InputError) as excinfo:
+            InputSet.from_values(values)
+        assert str(excinfo.value) == f"non-numeric value {bad}"
 
     def test_overflow_guard(self):
         # n * max must stay within signed 64-bit range.
@@ -606,6 +614,11 @@ class TestBitsAndPositions:
         assert positions_from_bits(bits) == positions
 
 
+def cursors_of(bits: bytes) -> tuple[int, int, int, int]:
+    """The cursors of a 0/1 pattern, through the positions-based derivation."""
+    return _cursors(positions_from_bits(bits))
+
+
 def _reference_cursors(bits: bytes) -> tuple[int, int, int, int]:
     """Cursor recomputation written a second way, via run-length groups."""
     runs = [(v, len(list(g))) for v, g in itertools.groupby(bits)]
@@ -643,24 +656,14 @@ class TestCursors:
         ],
     )
     def test_known_patterns(self, pattern, expected):
-        assert cursors_from_bits(bytes(map(int, pattern))) == expected
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(InputError):
-            cursors_from_bits(bytes(3))
-
-    def test_any_non_zero_byte_is_a_member(self):
-        # the contract of positions_from_bits
-        assert cursors_from_bits(b"\x02") == cursors_from_bits(b"\x01") == (0, 1, 1, 0)
-        assert cursors_from_bits(b"\x01\x00\x02") == (3, 1, 3, 0)
-        assert cursors_from_bits(b"\x00\xff\x07\x00\x80") == (2, 0, 5, 3)
+        assert cursors_of(bytes(map(int, pattern))) == expected
 
     def test_first_after_gap_never_one(self):
         # position 1 can never follow a zero run
         for n in range(1, 9):
             for mask in range(1, 1 << n):
                 bits = bytes((mask >> i) & 1 for i in range(n))
-                assert cursors_from_bits(bits)[0] != 1
+                assert cursors_of(bits)[0] != 1
 
     @given(st.integers(1, 14), st.integers(1, 2**14 - 1))
     def test_matches_group_based_reference(self, n, mask):
@@ -668,7 +671,7 @@ class TestCursors:
         if mask == 0:
             mask = 1
         bits = bytes((mask >> i) & 1 for i in range(n))
-        assert cursors_from_bits(bits) == _reference_cursors(bits)
+        assert cursors_of(bits) == _reference_cursors(bits)
 
 
 def _ranked(rank, total, parent, removed, added):

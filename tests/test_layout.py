@@ -1,5 +1,6 @@
-"""Package layout rules: no code in src/ that only tests call, and docs that
-name the variants and the CLI subcommands the package has.
+"""Package layout rules: no code in src/ that only tests call, one module
+that indexes final-DAG nodes, and docs that name the variants and the CLI
+subcommands the package has.
 
 Every name a module lists in ``__all__`` or defines at top level (by
 ``def``, ``class`` or assignment; dunders aside) must be used somewhere in
@@ -92,6 +93,28 @@ def test_every_public_name_is_used_in_the_package(path):
 def test_every_allowed_name_is_defined():
     defined = {name for path in MODULES for name in defined_names(parse(path))}
     assert ALLOWED.keys() <= defined
+
+
+def wide_indexes(tree):
+    """Lines that index, slice from or ``itemgetter`` an int constant >= 5."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            keys = [node.slice.lower if isinstance(node.slice, ast.Slice) else node.slice]
+        elif isinstance(node, ast.Call) and "itemgetter" in used_names(node.func):
+            keys = node.args
+        else:
+            continue
+        lines += [key.lineno for key in keys if isinstance(key, ast.Constant)
+                  and type(key.value) is int and key.value >= 5]
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "shifts.py"],
+                         ids=lambda p: p.stem)
+def test_only_shifts_indexes_dag_nodes(path):
+    # only final-DAG nodes have more than four fields; shifts lays them out
+    assert wide_indexes(parse(path)) == [], f"{path.name} reads a node field outside shifts"
 
 
 def test_readme_algorithm_bullets_name_the_variants():

@@ -17,20 +17,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topk_subsets.shifts as shifts
-from topk_subsets.core import (
-    InputSet,
-    SubsetPositions,
-    cursors_from_bits,
-    positions_from_bits,
-)
+from topk_subsets.core import InputSet, SubsetPositions
 from topk_subsets.shifts import (
     EdgeType,
+    _cursors,
     bit_root,
     compact_children,
     compact_root,
     final_dag_children,
     final_dag_report,
     mandatory_static_children,
+    positions_from_bits,
     walk_final_dag,
 )
 
@@ -217,7 +214,7 @@ class TestBitRules:
         """A bit-vector node: compact fields, a blank delta, then the pattern."""
         bits = bytes(int(c) for c in pattern)
         total = sum(r.values[i] for i, b in enumerate(bits) if b)
-        return cursors_from_bits(bits) + (sum(bits), total, None, None, None, bits)
+        return _cursors(positions_from_bits(bits)) + (sum(bits), total, None, None, None, bits)
 
     @staticmethod
     def edge(node: tuple, child: tuple) -> EdgeType:
@@ -276,8 +273,8 @@ class TestBitRules:
         children = final_dag_children(node, r, 7)
         assert len(children) <= 2
         for child in children:
-            assert child[:4] == cursors_from_bits(child[9])
             decoded = positions_from_bits(child[9])
+            assert child[:4] == _cursors(decoded)
             assert child[4] == len(decoded)
             assert child[5] == sum(r.values[p - 1] for p in decoded)
             assert child[5] >= node[5]
@@ -355,6 +352,20 @@ def test_final_dag_report_checks_dropped_children(monkeypatch):
 
     monkeypatch.setattr(shifts, "compact_children", no_type2)
     assert final_dag_report(4) == ["1000: children [] != position rule [((2,), 'Type2')]"]
+
+
+@pytest.mark.parametrize("field", [0, 3])
+def test_final_dag_report_checks_cursors(monkeypatch, field):
+    real = shifts.compact_children
+
+    def skewed(node, r, parent_rank):
+        return [c[:field] + (c[field] + 1,) + c[field + 1:] for c in real(node, r, parent_rank)]
+
+    monkeypatch.setattr(shifts, "compact_children", skewed)
+    # the root's Type2 child 0100 is the first node the rule builds
+    want = (2, 0, 2, 0)
+    got = want[:field] + (want[field] + 1,) + want[field + 1:]
+    assert final_dag_report(4)[0] == f"0100: cursors {got} != recomputed {want}"
 
 
 def test_final_dag_report_checks_child_totals(monkeypatch):
