@@ -21,9 +21,8 @@ from .core import (
     expand_deltas,
     load_input,
 )
-from .enumerators import Variant, topk
+from .enumerators import RunMetrics, Variant, topk
 from .oracle import all_subsets_sorted, topk_oracle
-from .pool import RunMetrics
 
 __version__ = "0.1.0"
 

@@ -266,7 +266,7 @@ def cmd_dag(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         lines.append(f'  "{pattern}";')
         node_count += 1
         for child, edge in children:
-            lines.append(f'  "{pattern}" -> "{pattern_text(child)}" [label="{edge.value}"];')
+            lines.append(f'  "{pattern}" -> "{pattern_text(child)}" [label="{edge}"];')
             edge_count += 1
     lines.append("}")
     if not _write_file(args.dot, "\n".join(lines) + "\n"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -129,8 +128,10 @@ class InputSet:
     @classmethod
     def from_values(cls, values: Iterable[Number], mode: str = "int") -> "InputSet":
         values = tuple(values)
-        with suppress(TypeError):  # values that do not compare: the checks name the bad one
+        try:
             values = tuple(sorted(values))
+        except TypeError:  # values that do not compare: non-numbers first, for the checks to name
+            values = tuple(sorted(values, key=lambda v: isinstance(v, (int, float))))
         return cls(values, mode)
 
     @property

@@ -33,18 +33,38 @@ exact sums; its records carry them rounded once to floats (``unscale``).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
 from .core import InputSet, RankedSubset, _new, unscale
-from .pool import BoundedPool, RunMetrics
+from .pool import BoundedPool
 from .shifts import (bit_root, bitvec_record, compact_children, compact_root, delta_record,
                      final_dag_children, node_total)
 
-__all__ = ["Variant", "topk"]
+__all__ = ["RunMetrics", "Variant", "topk"]
 
 Stream = Iterator[RankedSubset]
+
+
+@dataclass(slots=True)
+class RunMetrics:
+    """Counters of one best-first walk, kept by the walk from the pool's ``len()``.
+
+    ``total_insertions`` counts the root and every child inserted, ``peak_size``
+    the largest size after a step's inserts (a pool only grows within a step),
+    ``extractions`` the records emitted, ``prunes`` the live entries a budget
+    dropped, and ``elapsed_ns`` the wall time from the first ``next()`` to the
+    end, the consumer's time between yields included.  The live size of the
+    pool is ``total_insertions - extractions - prunes``.
+    """
+
+    total_insertions: int = 0
+    peak_size: int = 0
+    extractions: int = 0
+    prunes: int = 0
+    elapsed_ns: int = 0
 
 
 class Variant(Enum):
@@ -85,16 +105,24 @@ def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
     def gen() -> Stream:
         t0 = time.perf_counter_ns()
         try:
-            pool = BoundedPool(metrics)
+            pool = BoundedPool()
             pool.insert(root, key(root))
+            metrics.total_insertions = metrics.peak_size = 1
             # bound locally: the loop body runs k_eff times
             extract, insert, prune_to = pool.extract_min, pool.insert, pool.prune_to
             for q in range(1, k_eff + 1):
                 node = extract()
+                metrics.extractions = q
                 if q < k_eff or expand_all:
-                    for child in successors(node, r, q):
+                    children = successors(node, r, q)
+                    for child in children:
                         insert(child, key(child))
-                    if not expand_all and len(pool) > k_eff - q:
+                    metrics.total_insertions += len(children)
+                    size = len(pool)
+                    if size > metrics.peak_size:
+                        metrics.peak_size = size
+                    if not expand_all and size > k_eff - q:
+                        metrics.prunes += size - (k_eff - q)
                         prune_to(k_eff - q)
                 yield record(q, node)
         finally:

@@ -1,4 +1,4 @@
-"""Candidate pool with an extraction budget and exact instrumentation.
+"""Candidate pool with an extraction budget.
 
 Candidates go in with a sum key; :meth:`BoundedPool.extract_min` returns
 the smallest, equal keys in insertion order, so results are deterministic.
@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Any, Optional
+from typing import Any
 
-__all__ = ["RunMetrics", "BoundedPool"]
+__all__ = ["BoundedPool"]
 
 # Entries allowed beyond twice the budget before the store is cut;
 # keeps tiny pools from sorting on every prune.
@@ -34,41 +33,21 @@ class _Bucket(deque):  # the tied items of one key, oldest first
     __slots__ = ()
 
 
-@dataclass(slots=True)
-class RunMetrics:
-    """Counters for one enumeration run.
-
-    ``total_insertions`` counts every insert ever made, ``peak_size`` the
-    largest logical size reached, ``prunes`` the entries a budget dropped,
-    and ``elapsed_ns`` the wall time from the first ``next()`` to the end,
-    the consumer's time between yields included.  The live size of a pool
-    is ``total_insertions - extractions - prunes``.
-    """
-
-    total_insertions: int = 0
-    peak_size: int = 0
-    extractions: int = 0
-    prunes: int = 0
-    elapsed_ns: int = 0
-
-
 class BoundedPool:
     """Min-extraction priority pool with a shrinking extraction budget.
 
-    ``metrics`` may be shared with the caller; counters are updated in
-    place and count logical entries only.  Keys are hashable and equal
-    keys tie.  Instances are single-threaded.
+    ``len()`` counts live entries only.  Keys are hashable and equal keys
+    tie.  Instances are single-threaded.
     """
 
-    __slots__ = ("_keys", "_buckets", "_size", "_dropped", "_budget", "metrics")
+    __slots__ = ("_keys", "_buckets", "_size", "_dropped", "_budget")
 
-    def __init__(self, metrics: Optional[RunMetrics] = None) -> None:
+    def __init__(self) -> None:
         self._keys: list = []
         self._buckets: dict = {}
         self._size = 0
         self._dropped = 0  # pruned entries still stored
         self._budget = sys.maxsize  # no budget declared yet
-        self.metrics = metrics if metrics is not None else RunMetrics()
 
     def __len__(self) -> int:
         return self._size
@@ -83,12 +62,7 @@ class BoundedPool:
             held.append(item)
         else:
             buckets[key] = _Bucket((held, item))
-        size = self._size + 1
-        self._size = size
-        m = self.metrics
-        m.total_insertions += 1
-        if size > m.peak_size:
-            m.peak_size = size
+        self._size += 1
 
     def extract_min(self) -> Any:
         """Remove and return the oldest item of the smallest key."""
@@ -98,7 +72,6 @@ class BoundedPool:
             raise IndexError("extract_min past the extraction budget")
         self._budget -= 1
         self._size -= 1
-        self.metrics.extractions += 1
         keys, buckets = self._keys, self._buckets
         held = buckets[keys[0]]
         if type(held) is not _Bucket:
@@ -122,7 +95,6 @@ class BoundedPool:
         if excess > 0:
             self._size = m
             self._dropped += excess
-            self.metrics.prunes += excess
         if self._size + self._dropped > 2 * m + _SLACK:
             # keep the m smallest stored entries in (key, insertion) order
             keys, buckets = self._keys, self._buckets

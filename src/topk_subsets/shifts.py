@@ -39,14 +39,12 @@ leading one run one step right, ``Incr`` extends a pattern of the shape
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
 from .core import Delta, InputSet, RankedSubset, SubsetPositions, _new
 
 __all__ = [
-    "EdgeType",
     "mandatory_static_children",
     "compact_root",
     "compact_children",
@@ -60,14 +58,6 @@ __all__ = [
     "walk_final_dag",
     "final_dag_report",
 ]
-
-
-class EdgeType(Enum):
-    """Child kind in the final DAG; values are the DOT edge labels."""
-
-    TYPE1 = "Type1"
-    TYPE2 = "Type2"
-    INCREMENTAL = "Incr"
 
 
 def _prefix_run_len(s: SubsetPositions) -> int:
@@ -87,20 +77,18 @@ def _cursors(s: SubsetPositions) -> tuple[int, int, int, int]:
     return (fag, pe, s[-1], s[pe + 1] if fag and pe + 1 < len(s) else 0)
 
 
-def mandatory_static_children(
-    s: SubsetPositions, n: int
-) -> list[tuple[SubsetPositions, EdgeType]]:
-    """The at-most-two mandatory static children of s, as position tuples."""
-    out: list[tuple[SubsetPositions, EdgeType]] = []
+def mandatory_static_children(s: SubsetPositions, n: int) -> list[tuple[SubsetPositions, str]]:
+    """The at-most-two mandatory static children of s, as (positions, edge label) pairs."""
+    out: list[tuple[SubsetPositions, str]] = []
     pe = _prefix_run_len(s)
     if pe < len(s):
         # first member after the leading run; the Type1 move advances it
         p = s[pe]
         blocked = pe + 1 < len(s) and s[pe + 1] == p + 1
         if 2 <= p <= n - 1 and not blocked:
-            out.append((s[:pe] + (p + 1,) + s[pe + 1 :], EdgeType.TYPE1))
+            out.append((s[:pe] + (p + 1,) + s[pe + 1 :], "Type1"))
     if 1 <= pe <= n - 1:
-        out.append((s[: pe - 1] + (pe + 1,) + s[pe:], EdgeType.TYPE2))
+        out.append((s[: pe - 1] + (pe + 1,) + s[pe:], "Type2"))
     return out
 
 
@@ -198,11 +186,11 @@ def bitvec_record(rank: int, node: tuple) -> RankedSubset:
 # -- structural checkers --------------------------------------------------------
 
 
-def walk_final_dag(n: int) -> Iterator[tuple[tuple, list[tuple[tuple, EdgeType]]]]:
+def walk_final_dag(n: int) -> Iterator[tuple[tuple, list[tuple[tuple, str]]]]:
     """Breadth-first walk of the whole final DAG of width n from the root {1}.
 
     Yields each bit-vector node once together with its (child, edge)
-    list, the edge read off the child's delta.  Position p holds the
+    list, the edge label read off the child's delta.  Position p holds the
     value p, so a node's total is the sum of its positions.  With the
     one-parent property intact the walk visits all 2**n - 1 subsets; the
     walk itself does not deduplicate, so a broken rule shows up as
@@ -213,8 +201,8 @@ def walk_final_dag(n: int) -> Iterator[tuple[tuple, list[tuple[tuple, EdgeType]]
     while queue:
         node = queue.popleft()
         children = final_dag_children(node, r, 0)
-        yield node, [(c, EdgeType.INCREMENTAL if c[7] is None else
-                      EdgeType.TYPE1 if c[7] == node[0] else EdgeType.TYPE2) for c in children]
+        yield node, [(c, "Incr" if c[7] is None else "Type1" if c[7] == node[0] else "Type2")
+                     for c in children]
         queue.extend(children)
 
 
@@ -242,15 +230,15 @@ def final_dag_report(n: int) -> list[str]:
             problems.append(f"{pattern}: size field out of step")
         if node[5] != sum(s):
             problems.append(f"{pattern}: stored total diverges from direct sum")
-        want = [(t, edge.value) for t, edge in mandatory_static_children(s, n)]
+        want = mandatory_static_children(s, n)
         if s == tuple(range(2, len(s) + 2)) and len(s) < n:
-            want.append(((1,) + s, EdgeType.INCREMENTAL.value))
-        got = [(positions_from_bits(c[9]), edge.value) for c, edge in children]
+            want.append(((1,) + s, "Incr"))
+        got = [(positions_from_bits(c[9]), edge) for c, edge in children]
         if got != want:
             problems.append(f"{pattern}: children {got} != position rule {want}")
         for child, edge in children:
             if child[5] < node[5]:
-                problems.append(f"{pattern} -{edge.value}-> sum decreases")
+                problems.append(f"{pattern} -{edge}-> sum decreases")
             if child[9] in seen:
                 problems.append(f"{pattern_text(child)} generated twice (second parent {pattern})")
             seen.add(child[9])

@@ -5,7 +5,7 @@ import hashlib
 import topk_subsets.bench as bench
 from topk_subsets.bench import gen_instance, run_matrix, splitmix64_stream
 from topk_subsets.enumerators import Variant
-from topk_subsets.pool import RunMetrics
+from topk_subsets.enumerators import RunMetrics
 
 
 class TestSplitmix64:

@@ -629,6 +629,26 @@ class TestVerifyCommand:
                             "raised IndexError('extract_min on an empty pool')")
         assert all(line.endswith("PASS") for line in lines[1:])
 
+    @pytest.mark.parametrize("fault, rank", [("altered", 5), ("short", 7)])
+    def test_reports_the_first_wrong_rank(self, capsys, monkeypatch, fault, rank):
+        # from n = 3 (k = 7) on, the stream has one wrong total or ends one item early
+        def faulty(r, k, variant):
+            stream, metrics = topk(r, k, variant)
+            items = list(stream)
+            if k >= 7 and fault == "altered":
+                items[4] = items[4]._replace(total=items[4].total + 1)
+            elif k >= 7:
+                del items[-1]
+            return iter(items), metrics
+
+        monkeypatch.setattr(cli, "topk", faulty)
+        code = main(["verify", "--n-max", "4", "--seeds", "1", "--algos", "compact"])
+        out, _ = capsys.readouterr()
+        assert code == 1
+        lines = [" ".join(line.split()) for line in out.splitlines()]
+        assert lines[0] == f"oracle-equivalence[compact] FAIL (n=3, seed=0, k=7) rank {rank}"
+        assert all(line.endswith("PASS") for line in lines[1:])
+
 
 class TestBenchCommand:
     def test_grid_table(self, capsys):

@@ -109,6 +109,7 @@ class TestInputSet:
 
     @pytest.mark.parametrize("values, bad", [
         ([1, "a"], "'a'"), (["a"], "'a'"), ([1, None], "None"), ([2, 1j], "1j"),
+        ([2, 1, "a"], "'a'"), ([2, 1, 1j], "1j"),  # out of order as well
     ])
     def test_from_values_names_a_value_that_does_not_compare(self, values, bad):
         # sorted() raises TypeError on these; the checks name the value instead

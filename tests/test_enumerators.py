@@ -154,6 +154,40 @@ class TestCounters:
         for it in stream:
             assert m.total_insertions - m.extractions - m.prunes <= 100 - it.rank
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("values", [range(1, 31), [0] * 9, [v % 3 for v in range(12)]],
+                             ids=["distinct", "zeros", "ties"])
+    def test_counters_follow_the_pool_operations(self, monkeypatch, variant, values):
+        # what the walk asks of the real pool, counted at the pool: inserts,
+        # largest len() after an insert, extractions, live entries a budget drops;
+        # small k puts budget cuts in the steps that reach the peak
+        ops = []
+
+        class Spy(enumerators.BoundedPool):
+            __slots__ = ()
+
+            def insert(self, item, key):
+                super().insert(item, key)
+                ops[0] += 1
+                ops[1] = max(ops[1], len(self))
+
+            def extract_min(self):
+                ops[2] += 1
+                return super().extract_min()
+
+            def prune_to(self, m):
+                ops[3] += max(0, len(self) - m)
+                super().prune_to(m)
+
+        monkeypatch.setattr(enumerators, "BoundedPool", Spy)
+        r = InputSet.from_values(values)
+        for k in (*range(1, 41), 100):
+            ops[:] = [0, 0, 0, 0]
+            stream, m = topk(r, k, variant)
+            for _ in stream:
+                assert [m.total_insertions, m.peak_size, m.extractions, m.prunes] == ops
+            assert m.extractions == k
+
     def test_extractions_count_reported_rows(self):
         for variant in ALL_VARIANTS:
             rows, m = drain(self.R30, 37, variant)

@@ -1,6 +1,6 @@
 """Package layout rules: no code in src/ that only tests call, one module
-that indexes final-DAG nodes, and docs that name the variants and the CLI
-subcommands the package has.
+that indexes final-DAG nodes, one that keeps a run's counters, and docs that
+name the variants and the CLI subcommands the package has.
 
 Every name a module lists in ``__all__`` or defines at top level (by
 ``def``, ``class`` or assignment; dunders aside) must be used somewhere in
@@ -10,13 +10,14 @@ the exceptions, each with the caller outside ``src/`` that needs it.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
 from topk_subsets.cli import build_parser
-from topk_subsets.enumerators import Variant
+from topk_subsets.enumerators import RunMetrics, Variant
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "topk_subsets"
@@ -115,6 +116,29 @@ def wide_indexes(tree):
 def test_only_shifts_indexes_dag_nodes(path):
     # only final-DAG nodes have more than four fields; shifts lays them out
     assert wide_indexes(parse(path)) == [], f"{path.name} reads a node field outside shifts"
+
+
+def counter_writes(tree):
+    """Lines that assign or augment an attribute named after a ``RunMetrics`` field."""
+    fields = {f.name for f in dataclasses.fields(RunMetrics)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        lines += [t.lineno for target in targets for t in ast.walk(target)
+                  if isinstance(t, ast.Attribute) and t.attr in fields]
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "enumerators.py"],
+                         ids=lambda p: p.stem)
+def test_only_the_walk_keeps_run_counters(path):
+    # the best-first walk defines every counter from the pool's len()
+    assert counter_writes(parse(path)) == [], f"{path.name} writes a run counter"
 
 
 def test_readme_algorithm_bullets_name_the_variants():

@@ -1,7 +1,9 @@
-"""Budget pool: ordering, ties, budget contract, counters, memory.
+"""Budget pool: ordering, ties, budget contract, memory.
 
 ``ReferencePool`` is the double-heap pool that ``BoundedPool`` replaced, kept
-as the reference the enumerator differential compares against.
+as the reference the enumerator differential compares against: the walk over
+``BoundedPool`` must emit the same records, and keep the same counters as the
+reference counts for itself.
 """
 
 import gc
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 
 from topk_subsets import enumerators
 from topk_subsets.core import InputSet
-from topk_subsets.enumerators import Variant, topk
-from topk_subsets.pool import BoundedPool, RunMetrics
+from topk_subsets.enumerators import RunMetrics, Variant, topk
+from topk_subsets.pool import BoundedPool
 
 # -- the reference --------------------------------------------------------------
 
@@ -138,19 +140,28 @@ _TIED_VALUES = st.one_of(
     st.integers(0, 5).flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=9)),
     st.lists(st.integers(0, 3), min_size=1, max_size=9),
 )
-def _steps(r, k, variant):
-    """Each record with the four counters as they stand right after it."""
-    stream, m = topk(r, k, variant)
-    return [(item, (m.total_insertions, m.peak_size, m.extractions, m.prunes))
-            for item in stream]
+
+
+def _counters(m):
+    return (m.total_insertions, m.peak_size, m.extractions, m.prunes)
 
 
 def _assert_matches_reference(vals, k):
+    """Each record, with the walk's live counters, against the reference pool's own."""
+    pools = []
+
+    class Recorded(BudgetAdapter):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
     r = InputSet.from_values(sorted(vals))
     for variant in Variant:
-        got = _steps(r, k, variant)
-        with mock.patch.object(enumerators, "BoundedPool", BudgetAdapter):
-            want = _steps(r, k, variant)
+        stream, walk = topk(r, k, variant)
+        got = [(item, _counters(walk)) for item in stream]
+        with mock.patch.object(enumerators, "BoundedPool", Recorded):
+            stream, _ = topk(r, k, variant)
+            want = [(item, _counters(pools[-1].metrics)) for item in stream]
         assert got == want, variant
 
 
@@ -185,11 +196,9 @@ def test_extract_prune_interleave():
     assert len(pool) == 3
     assert pool.extract_min() == "d"
     pool.prune_to(1)  # drops c
+    assert len(pool) == 1
     assert pool.extract_min() == "e"
     assert len(pool) == 0
-
-    m = pool.metrics
-    assert (m.total_insertions, m.extractions, m.prunes, m.peak_size) == (5, 3, 2, 5)
 
 
 def test_empty_raises():
@@ -221,8 +230,9 @@ def test_equal_keys_prune_takes_latest():
     pool.insert("low", 1)
     pool.insert("third", 7)
     pool.prune_to(2)
+    assert len(pool) == 2
     assert [pool.extract_min(), pool.extract_min()] == ["low", "first"]
-    assert pool.metrics.prunes == 2
+    assert len(pool) == 0
 
 
 def test_extract_past_the_budget_raises():
@@ -248,32 +258,27 @@ def test_raising_the_budget_raises():
     with pytest.raises(ValueError):
         pool.prune_to(-1)
     pool.prune_to(2)
-    assert len(pool) == 2 and pool.metrics.prunes == 1
+    assert len(pool) == 2
+    assert [pool.extract_min(), pool.extract_min()] == [1, 2]
 
 
 def test_peak_tracks_logical_size():
+    # the walk reads its peak off len(), which must not count dropped entries
     pool = BoundedPool()
     for key in (1, 2, 3):
         pool.insert(key, key)
     pool.extract_min()
-    pool.insert(4, 4)  # back to 3, peak unchanged
-    assert pool.metrics.peak_size == 3
+    pool.insert(4, 4)
+    assert len(pool) == 3
     pool.insert(5, 5)
-    assert pool.metrics.peak_size == 4
+    assert len(pool) == 4
     pool.prune_to(1)
+    assert len(pool) == 1
     for key in (6, 7, 8):
-        pool.insert(key, key)  # logical size 4 again: dropped entries do not count
-    assert pool.metrics.peak_size == 4
+        pool.insert(key, key)  # dropped entries are still stored but do not count
+    assert len(pool) == 4
     pool.insert(9, 9)
-    assert pool.metrics.peak_size == 5
-
-
-def test_metrics_object_can_be_shared():
-    m = RunMetrics()
-    pool = BoundedPool(m)
-    pool.insert("x", 1)
-    assert m.total_insertions == 1
-    assert pool.metrics is m
+    assert len(pool) == 5
 
 
 def _soup(rng, pool, steps, insert_p, keys):
@@ -309,8 +314,6 @@ def test_differential_against_sorted_model():
     pool = BoundedPool()
     for _ in range(20):
         model, budget = _soup(rng, pool, 400, 0.55, 50)
-        m = pool.metrics
-        assert len(pool) == m.total_insertions - m.extractions - m.prunes
         while model and budget:
             want = min(model)
             model.remove(want)
@@ -327,7 +330,7 @@ def test_differential_with_late_first_prune():
     rng = random.Random(0xBEEF)
     pool = BoundedPool()
     model = []
-    seq = 0
+    seq = extracted = 0
     for _ in range(600):
         if rng.random() < 0.6 or not model:
             key = rng.randrange(8)  # few keys: many ties
@@ -338,10 +341,12 @@ def test_differential_with_late_first_prune():
             want = min(model)
             model.remove(want)
             assert pool.extract_min() == want
-    assert pool.metrics.prunes == 0 and pool.metrics.extractions > 100
+            extracted += 1
+    assert extracted > 100
     # continue on the same pool: its seqs are past those the model used
     budget = len(model) // 2
     pool.prune_to(budget)
+    pruned = len(model) - budget
     model = sorted(model)[:budget]
     for _ in range(3000):
         if rng.random() < 0.5:
@@ -357,11 +362,10 @@ def test_differential_with_late_first_prune():
         else:
             budget = rng.randrange(budget + 1) if budget else 0
             pool.prune_to(budget)
+            pruned += max(0, len(model) - budget)
             model = sorted(model)[:budget]
         assert len(pool) == len(model)
-    m = pool.metrics
-    assert m.prunes > 0
-    assert len(pool) == m.total_insertions - m.extractions - m.prunes
+    assert pruned > 0
 
 
 class _Node:
@@ -389,6 +393,7 @@ def test_pruned_items_are_released():
     pool = BoundedPool()
     pool.insert(_Node(0), 0)
     inserted = []
+    pruned = 0
     for q in range(1, k):
         node = pool.extract_min()
         for _ in range(20):
@@ -397,14 +402,16 @@ def test_pruned_items_are_released():
             inserted.append(weakref.ref(child))
             pool.insert(child, key)
         if len(pool) > k - q:
+            pruned += len(pool) - (k - q)
             pool.prune_to(k - q)
+            assert len(pool) == k - q
         if q % 50 == 0:
             del node, child
             gc.collect()
             alive = sum(ref() is not None for ref in inserted)
             # the live entries plus at most live + 64 dropped ones
             assert alive <= 2 * len(pool) + 65
-    assert pool.metrics.prunes > 15 * k
+    assert pruned > 15 * k
 
 
 # -- the bucket layout -------------------------------------------------------------
@@ -452,7 +459,7 @@ def test_a_lone_item_is_promoted_then_drained_to_nothing():
     pool.insert("again", 3)
     pool.insert("lower", 2)
     assert [pool.extract_min(), pool.extract_min()] == ["lower", "again"]
-    assert pool.metrics.total_insertions == pool.metrics.extractions == 4
+    assert len(pool) == 0
 
 
 def _stored_bytes(pool_class, keys):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import topk_subsets.shifts as shifts
 from topk_subsets.core import InputSet, SubsetPositions
 from topk_subsets.shifts import (
-    EdgeType,
     _cursors,
     bit_root,
     compact_children,
@@ -146,12 +145,12 @@ class TestGenerators:
         assert modified_mandatory_incremental_children((1, 3), 4) == []
 
     def test_mandatory_static_children(self):
-        assert mandatory_static_children((1,), 4) == [((2,), EdgeType.TYPE2)]
-        assert mandatory_static_children((2, 4), 4) == [((3, 4), EdgeType.TYPE1)]
-        assert mandatory_static_children((1, 2), 4) == [((1, 3), EdgeType.TYPE2)]
+        assert mandatory_static_children((1,), 4) == [((2,), "Type2")]
+        assert mandatory_static_children((2, 4), 4) == [((3, 4), "Type1")]
+        assert mandatory_static_children((1, 2), 4) == [((1, 3), "Type2")]
         assert mandatory_static_children((1, 3), 4) == [
-            ((1, 4), EdgeType.TYPE1),
-            ((2, 3), EdgeType.TYPE2),
+            ((1, 4), "Type1"),
+            ((2, 3), "Type2"),
         ]
         assert mandatory_static_children((2, 3), 4) == []
         assert mandatory_static_children((1, 2, 3, 4), 4) == []
@@ -217,15 +216,15 @@ class TestBitRules:
         return _cursors(positions_from_bits(bits)) + (sum(bits), total, None, None, None, bits)
 
     @staticmethod
-    def edge(node: tuple, child: tuple) -> EdgeType:
+    def edge(node: tuple, child: tuple) -> str:
         """The move a child's delta records, named as in the DOT export."""
         if child[7] is None:
-            return EdgeType.INCREMENTAL
-        return EdgeType.TYPE1 if child[7] == node[0] else EdgeType.TYPE2
+            return "Incr"
+        return "Type1" if child[7] == node[0] else "Type2"
 
-    def child(self, pattern: str, edge: EdgeType) -> "tuple | None":
+    def child(self, pattern: str, edge: str) -> "tuple | None":
         node = self.node(pattern, self.R4)
-        kids = [c for c in final_dag_children(node, self.R4, 0) if self.edge(node, c) is edge]
+        kids = [c for c in final_dag_children(node, self.R4, 0) if self.edge(node, c) == edge]
         assert len(kids) <= 1
         return kids[0] if kids else None
 
@@ -234,35 +233,35 @@ class TestBitRules:
         assert root == (0, 1, 1, 0, 1, 1, None, None, 1, b"\x01\x00\x00\x00")
 
     def test_type1_moves_first_one_after_gap(self):
-        child = self.child("1010", EdgeType.TYPE1)
+        child = self.child("1010", "Type1")
         assert child[9] == b"\x01\x00\x00\x01"
         assert child[:3] == (4, 1, 4)
         assert child[5] == 5
 
     def test_type1_blocked_by_neighbour_or_edge(self):
-        assert self.child("0110", EdgeType.TYPE1) is None
-        assert self.child("0001", EdgeType.TYPE1) is None
-        assert self.child("1100", EdgeType.TYPE1) is None  # no gap one
+        assert self.child("0110", "Type1") is None
+        assert self.child("0001", "Type1") is None
+        assert self.child("1100", "Type1") is None  # no gap one
 
     def test_type2_shrinks_leading_run(self):
-        child = self.child("1100", EdgeType.TYPE2)
+        child = self.child("1100", "Type2")
         assert child[9] == b"\x01\x00\x01\x00"
         assert child[:3] == (3, 1, 3)
         assert child[5] == 4
 
     def test_type2_needs_leading_run_with_room(self):
-        assert self.child("0110", EdgeType.TYPE2) is None
-        assert self.child("1111", EdgeType.TYPE2) is None
+        assert self.child("0110", "Type2") is None
+        assert self.child("1111", "Type2") is None
 
     def test_growth_fills_position_one(self):
-        child = self.child("0110", EdgeType.INCREMENTAL)
+        child = self.child("0110", "Incr")
         assert child[9] == b"\x01\x01\x01\x00"
         assert child[4] == 3 and child[5] == 6
         assert child[:3] == (0, 3, 3)
 
     def test_growth_requires_block_pattern(self):
-        assert self.child("1100", EdgeType.INCREMENTAL) is None
-        assert self.child("0101", EdgeType.INCREMENTAL) is None
+        assert self.child("1100", "Incr") is None
+        assert self.child("0101", "Incr") is None
 
     @given(st.integers(2, 24), st.data())
     def test_children_keep_invariants(self, n, data):
@@ -279,7 +278,7 @@ class TestBitRules:
             assert child[5] == sum(r.values[p - 1] for p in decoded)
             assert child[5] >= node[5]
             assert child[6] == 7
-            grew = self.edge(node, child) is EdgeType.INCREMENTAL
+            grew = self.edge(node, child) == "Incr"
             assert child[4] == node[4] + (1 if grew else 0)
 
 
@@ -407,7 +406,7 @@ def test_bit_edges_agree_with_position_generators(n):
         grown = modified_mandatory_incremental_children(s, n)
         for child, edge in children:
             t = positions_from_bits(child[9])
-            if edge is EdgeType.INCREMENTAL:
+            if edge == "Incr":
                 assert t in grown
             else:
                 assert (t, edge) in static
