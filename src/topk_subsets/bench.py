@@ -13,7 +13,8 @@ from (seed, n) alone:
 
 Each draw maps to the value 1 + (draw mod 10**6), in [1, 10**6].  The
 modulo introduces negligible bias; exact reproducibility is the contract
-here, not statistical perfection.
+here, not statistical perfection.  A float instance takes two draws per
+value, a mantissa and a power of two (see :func:`gen_float_instance`).
 
 Timing is the enumerator's own elapsed_ns, from the stream's first
 ``next()`` to its end.  It includes the consumer's time between yields,
@@ -25,6 +26,7 @@ every cell alike instead of the cells timed during it.
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import Iterator, NamedTuple, Sequence
 
@@ -35,6 +37,7 @@ __all__ = [
     "Cell",
     "splitmix64_stream",
     "gen_instance",
+    "gen_float_instance",
     "run_matrix",
 ]
 
@@ -61,6 +64,30 @@ def gen_instance(n: int, seed: int) -> InputSet:
         raise ValueError("n must be >= 1")
     stream = splitmix64_stream(seed)
     return InputSet.from_values([1 + next(stream) % 10**6 for _ in range(n)])
+
+
+# The lowest leading-bit exponent of value i's band, by i mod 4: half the values
+# near 1, whose float sums round, a quarter subnormal, and a quarter in
+# [2**1022, 2**1024), two of which sum past the float range
+_FLOAT_BANDS = (-4, -1060, -4, 1022)
+
+
+def gen_float_instance(n: int, seed: int) -> InputSet:
+    """Deterministic sorted float instance of n values for (n, seed).
+
+    Value i has a full 53-bit mantissa, 2**52 + a mod 2**52, and its leading
+    bit at 2**E, E = ``_FLOAT_BANDS[i mod 4]`` + b mod 2, for the draws a, b
+    of the seed's stream.  An instance of four or more values mixes
+    subnormals, values near 1 and values near 1e308, and from five on float
+    additions of its values round, cancel and overflow where the exact sums
+    do not.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    stream = splitmix64_stream(seed)
+    return InputSet.from_values(
+        [math.ldexp(2**52 + next(stream) % 2**52, _FLOAT_BANDS[i % 4] + next(stream) % 2 - 52)
+         for i in range(n)], "float")
 
 
 class Cell(NamedTuple):

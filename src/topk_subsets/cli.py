@@ -1,11 +1,12 @@
 """Command-line surface: query, verify, benchmark, and DAG export.
 
 Exit codes: 0 success (including a truncated answer, which adds a notice
-on stderr), 2 bad flags or an output file that cannot be written, 3
-unusable input data.  Every subcommand exits 141 (128 + SIGPIPE, what a
-shell reports for a filter killed by a closed pipe) without a traceback
-when its stdout is closed before the last line, as in ``topk ... | head``,
-or at start, when it does no work.
+on stderr), 1 a ``topk`` walk that failed in its forked process, 2 bad
+flags or an output file that cannot be written, 3 unusable input data.
+Every subcommand exits 141 (128 + SIGPIPE, what a shell reports for a
+filter killed by a closed pipe) without a traceback when its stdout is
+closed before the last line, as in ``topk ... | head``, or at start, when
+it does no work.
 """
 
 from __future__ import annotations
@@ -13,23 +14,28 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import marshal
 import os
 import sys
-from contextlib import nullcontext, suppress
-from itertools import product
+from collections import deque
+from contextlib import closing, nullcontext, suppress
+from functools import partial
+from itertools import islice, product
+from operator import itemgetter
 from time import monotonic
-from typing import IO, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
-from .core import InputError, answer_width, expand_deltas, load_input
-from .enumerators import Variant, topk
+from .core import (Delta, InputError, RankedSubset, _new, answer_width, expand_deltas,
+                   load_input)
+from .enumerators import RunMetrics, Variant, topk
 from .shifts import final_dag_report, pattern_text, walk_final_dag
 
 __all__ = ["main"]
 
 _ALGOS = [v.value for v in Variant]
 
-# topk writes a batch of lines, then flushes, per _BATCH lines, or sooner once
-# _WAIT_S seconds have passed since its last write, so a slow stream shows promptly
+# topk's walk closes a batch per _BATCH records, or sooner once _WAIT_S seconds have
+# passed since the last one, so a slow stream shows promptly; each is one write and flush
 _BATCH = 1024
 _WAIT_S = 0.05
 
@@ -79,6 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=25)
     p.add_argument("--algos", type=_comma_list(Variant), default=",".join(_ALGOS),
                    help="comma-separated subset of " + ",".join(_ALGOS))
+    p.add_argument("--mode", choices=["int", "float"], default="int",
+                   help="int: values in [1, 10**6]; float: subnormals, values near 1 and"
+                        " values near 1e308, against exact sums")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time and space of each cell of an (n, k, algo) grid")
@@ -129,6 +138,115 @@ class _Counted(io.RawIOBase):
         return n
 
 
+def _shape(args: argparse.Namespace) -> str:
+    """What a batch keeps of each record for this output.
+
+    A batch keeps each record's total, and its delta or its positions when
+    the output prints them (``_FIELDS``); ``_rebuild`` makes the records
+    again from those, counting ranks from the batch's first.
+    """
+    if args.output == "sums":
+        return "sums"
+    return "deltas" if args.algo == "compact" else "positions"
+
+
+_FIELDS = {
+    "sums": itemgetter(1),
+    "deltas": lambda item: (item[1], *item[3]),
+    "positions": itemgetter(1, 2),
+}
+
+
+def _rebuild(shape: str, rank: int, batch: list) -> list:
+    if shape == "sums":
+        return [_new(RankedSubset, (q, total, None, None)) for q, total in enumerate(batch, rank)]
+    if shape == "deltas":
+        return [_new(RankedSubset, (q, total, None, _new(Delta, (parent, removed, added))))
+                for q, (total, parent, removed, added) in enumerate(batch, rank)]
+    return [_new(RankedSubset, (q, total, positions, None))
+            for q, (total, positions) in enumerate(batch, rank)]
+
+
+def _walk(r, args: argparse.Namespace) -> Iterator:
+    """The walk's frames: batches of record fields, then a tuple of the RunMetrics fields."""
+    stream, metrics = topk(r, args.k, Variant(args.algo))
+    fields = _FIELDS[_shape(args)]
+    batch, last = [], monotonic()
+    for item in stream:
+        batch.append(fields(item))
+        if len(batch) >= _BATCH or monotonic() - last >= _WAIT_S:
+            yield batch
+            batch, last = [], monotonic()
+    if batch:
+        yield batch
+    yield dataclasses.astuple(metrics)
+
+
+class _WalkFailed(Exception):
+    """The forked walk raised, or its process ended before its last frame."""
+
+
+def _forked(frames: Callable[[], Iterator]) -> Iterator:
+    """The frames of ``frames()``, run in a forked process and sent through a pipe.
+
+    Each frame is a 4-byte little-endian length and a ``marshal`` payload; a
+    str payload is the walker's traceback.  Every way out of this generator,
+    ``close()`` included, reaps the walker: it kills it first unless it
+    reported its last frame and ended.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the walk stays here
+        os.close(read_end)
+        os.close(write_end)
+        yield from frames()
+        return
+    if pid == 0:  # the walker leaves by os._exit alone: it never returns into the
+        code = 1  # caller, nor flushes the stdout buffer it inherited
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                def send(frame) -> None:
+                    data = marshal.dumps(frame)
+                    pipe.write(len(data).to_bytes(4, "little") + data)
+                    pipe.flush()
+                try:
+                    for frame in frames():
+                        send(frame)
+                except Exception:
+                    import traceback
+                    send(traceback.format_exc())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    reaped = done = False
+    try:
+        with open(read_end, "rb") as pipe:
+            while len(head := pipe.read(4)) == 4:
+                size = int.from_bytes(head, "little")
+                data = pipe.read(size)
+                if len(data) < size:
+                    break
+                frame = marshal.loads(data)
+                if isinstance(frame, str):
+                    raise _WalkFailed(frame.rstrip("\n"))
+                done = isinstance(frame, tuple)
+                yield frame
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if not done:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
+            raise _WalkFailed(f"its process ended {how} before its last frame")
+    finally:
+        if not reaped:
+            from signal import SIGKILL  # only an early exit pays for the module
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.output == "deltas" and args.algo != "compact":
         parser.error("--output deltas requires --algo compact (the delta-emitting variant)")
@@ -160,31 +278,43 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _warn(f"error: {exc}")
         return 3
 
-    stream, metrics = topk(r, args.k, Variant(args.algo))
-    out = sys.stdout
+    # k <= _BATCH is one batch, which nothing could overlap: the walk stays here
+    walk = partial(_walk, r, args)
+    frames = _forked(walk) if args.k > _BATCH and hasattr(os, "fork") else walk()
+    shape = _shape(args)
+    # the loop below adds each batch's records, then takes as many
+    pending: deque = deque()
+    stream = iter(pending.popleft, None)
     if args.output == "subsets" and args.algo == "compact":
         stream = expand_deltas(stream)
-
     # no answer holds a position past answer_width - 1 or n: their decimal strings
     decimal = (list(map(str, range(min(r.n + 1, answer_width(r.exact, args.k)))))
                if args.output == "subsets" else [])
+    out, rank, metrics = sys.stdout, 1, None
     # a closed stdout raises BrokenPipeError at a write, before --metrics is written
-    lines, last = [], monotonic()
-    for item in stream:
-        if args.output == "sums":
-            lines.append(f"{item.rank}\t{item.total}\n")
-        elif args.output == "subsets":
-            joined = ",".join(map(decimal.__getitem__, item.positions))
-            lines.append(f"{item.rank}\t{item.total}\t{joined}\n")
-        else:
-            patch = "\t".join("-" if v is None else str(v) for v in item.delta)
-            lines.append(f"{item.rank}\t{item.total}\t{patch}\n")
-        if len(lines) >= _BATCH or monotonic() - last >= _WAIT_S:
-            out.write("".join(lines))
-            out.flush()
-            lines, last = [], monotonic()
-    out.write("".join(lines))
-    out.flush()
+    try:
+        with closing(frames):
+            for frame in frames:
+                if isinstance(frame, tuple):  # the last frame
+                    metrics = RunMetrics(*frame)
+                    continue
+                pending.extend(_rebuild(shape, rank, frame))
+                rank += len(frame)
+                lines = []
+                for item in islice(stream, len(frame)):
+                    if args.output == "sums":
+                        lines.append(f"{item.rank}\t{item.total}\n")
+                    elif args.output == "subsets":
+                        joined = ",".join(map(decimal.__getitem__, item.positions))
+                        lines.append(f"{item.rank}\t{item.total}\t{joined}\n")
+                    else:
+                        patch = "\t".join("-" if v is None else str(v) for v in item.delta)
+                        lines.append(f"{item.rank}\t{item.total}\t{patch}\n")
+                out.write("".join(lines))
+                out.flush()
+    except _WalkFailed as exc:
+        _warn(f"error: the walk failed: {exc}")
+        return 1
 
     emitted = metrics.extractions
     if args.metrics:
@@ -201,7 +331,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 # verify and bench import their helpers on call: statistics is not loaded for topk
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .bench import gen_instance
+    from .bench import gen_float_instance, gen_instance
     from .oracle import all_subsets_sorted
 
     if args.n_max > 16:
@@ -211,6 +341,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         print(f"{name:<44s} {'PASS' if problem is None else f'FAIL {problem}'}")
         return problem is not None
 
+    make, tag = (gen_instance, "") if args.mode == "int" else (gen_float_instance, " float")
     # instance-major: each instance and its oracle answer serve every variant,
     # which keeps its first failure (a crash is as much one as a wrong answer)
     first_problem = dict.fromkeys(args.algos)
@@ -218,7 +349,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         pending = [variant for variant, problem in first_problem.items() if problem is None]
         if not pending:
             break
-        k, inst = (1 << n) - 1, gen_instance(n, seed)
+        k, inst = (1 << n) - 1, make(n, seed)
         want, where = [s for s, _ in all_subsets_sorted(inst)], f"(n={n}, seed={seed}, k={k})"
         for variant in pending:
             try:
@@ -230,7 +361,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 first_bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
                                  min(len(got), len(want)))
                 first_problem[variant] = f"{where} rank {first_bad + 1}"
-    failed = sum(report(f"oracle-equivalence[{v.value}]", p) for v, p in first_problem.items())
+    failed = sum(report(f"oracle-equivalence[{v.value}{tag}]", problem)
+                 for v, problem in first_problem.items())
 
     for n in range(1, min(args.n_max, 10) + 1):
         try:

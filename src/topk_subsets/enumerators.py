@@ -56,8 +56,10 @@ class RunMetrics:
     the largest size after a step's inserts (a pool only grows within a step),
     ``extractions`` the records emitted, ``prunes`` the live entries a budget
     dropped, and ``elapsed_ns`` the wall time from the first ``next()`` to the
-    end, the consumer's time between yields included.  The live size of the
-    pool is ``total_insertions - extractions - prunes``.
+    end, the consumer's time between yields included.  Under the ``topk`` CLI
+    above 1,024 answers the walk runs in its own process, and its consumer is
+    the batching there, waits for room in the pipe included, not the writer.
+    The live size of the pool is ``total_insertions - extractions - prunes``.
     """
 
     total_insertions: int = 0

@@ -1,6 +1,8 @@
 """Deterministic instance generation and the interleaved timing grid."""
 
 import hashlib
+import math
+import sys
 
 import topk_subsets.bench as bench
 from topk_subsets.bench import gen_instance, run_matrix, splitmix64_stream
@@ -104,3 +106,18 @@ class TestMedianCells:
         assert run_matrix((4,), (3,), ("baseline",), seed=1, reps=3)[0].elapsed_ns == 20
         self.timed(monkeypatch, [30, 10])
         assert run_matrix((4,), (3,), ("baseline",), seed=1, reps=2)[0].elapsed_ns == 20
+
+
+class TestGenFloatInstance:
+    def test_deterministic_and_float(self):
+        r = bench.gen_float_instance(8, 3)
+        assert r.mode == "float" and r.values == bench.gen_float_instance(8, 3).values
+        assert r.values != bench.gen_float_instance(8, 4).values
+        assert list(r.values) == sorted(r.values)
+
+    def test_bands_reach_subnormals_and_the_float_range(self):
+        values = bench.gen_float_instance(8, 0).values
+        assert sum(0 < v < sys.float_info.min for v in values) == 2  # subnormal
+        assert sum(0.0625 <= v < 2 for v in values) == 4
+        big = [v for v in values if v >= 2.0**1022]
+        assert len(big) == 2 and math.isinf(big[0] + big[1])

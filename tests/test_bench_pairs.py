@@ -133,3 +133,14 @@ def test_each_entry_records_the_interpreter_settings(tmp_path, monkeypatch, unbu
         "module": os.path.join("src", "topk_subsets", "__init__.py"),
         "env": {"PYTHONUNBUFFERED": unbuffered, "PYTHONDONTWRITEBYTECODE": "1"},
     }
+
+
+def test_cpus_usable_is_printed_per_side_and_one_cpu_warns(capsys):
+    runs = [{"side": side, "cpus_usable": cpus}
+            for side, cpus in (("parent", 2), ("parent", 2), ("change", 2), ("change", 1))]
+    bench_pairs.report_cpus(runs)
+    captured = capsys.readouterr()
+    assert captured.out == "cpus_usable: parent 2\ncpus_usable: change 1,2\n"
+    assert captured.err.startswith("warning: 1 of 4 runs had fewer than 2 usable CPUs")
+    bench_pairs.report_cpus(runs[:3])
+    assert capsys.readouterr().err == ""

@@ -4,7 +4,9 @@ import codecs
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -354,24 +356,190 @@ class TestWritePath:
         assert [w.count("\n") for w in stdout.writes] == [1024, 1024, 452]
 
     def test_a_slow_stream_is_written_line_by_line(self, monkeypatch):
+        self.check_a_slow_stream(monkeypatch, 4)
+
+    def test_a_slow_stream_is_written_line_by_line_from_the_forked_walk(self, monkeypatch):
+        self.check_a_slow_stream(monkeypatch, cli._BATCH + 4)
+
+    def check_a_slow_stream(self, monkeypatch, k):
+        """The first four records come 0.06 s apart: each goes out at most one behind."""
         real = cli.topk
 
         def paced(*args):
             stream, metrics = real(*args)
 
             def items():
-                for item in stream:
-                    time.sleep(0.06)  # longer than _WAIT_S
+                for rank, item in enumerate(stream, 1):
+                    if rank <= 4:
+                        time.sleep(0.06)  # longer than _WAIT_S
                     yield item
 
             return items(), metrics
 
         monkeypatch.setattr(cli, "topk", paced)
-        monkeypatch.setattr("sys.stdin", io.StringIO("4 2 1 3"))
+        forks = _fork_count(monkeypatch)
+        text = "4 2 1 3" if k == 4 else _values_text("int")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
         monkeypatch.setattr("sys.stdout", stdout := _Recorder())
-        assert main(["topk", "--k", "4"]) == 0
-        assert "".join(stdout.writes) == "1\t1\n2\t2\n3\t3\n4\t3\n"
-        assert max(w.count("\n") for w in stdout.writes) <= 2
+        assert main(["topk", "--k", str(k)]) == 0
+        assert len(forks) == (k > cli._BATCH)
+        assert "".join(stdout.writes) == "".join(_library_lines(text, k, "compact", "sums", "int"))
+        assert max(w.count("\n") for w in stdout.writes[:4]) <= 2
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _fork_count(monkeypatch):
+    """Count the calls of os.fork from here on."""
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+class TestForkedWalk:
+    """Above _BATCH records the walk runs in a forked process and streams its batches."""
+
+    K = 2 * cli._BATCH + 452
+
+    def run(self, argv, text, forked, clock=None):
+        """main(argv) on stdin text: code, writes, and metrics minus elapsed_ns.
+
+        ``forked`` False takes os.fork away; "fails" makes it raise.
+        """
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            if forked == "fails":
+                mp.setattr(os, "fork", self.failing_fork)
+            elif forked:
+                forks = _fork_count(mp)
+            else:
+                mp.delattr(os, "fork")
+            if clock is not None:
+                mp.setattr(cli, "monotonic", clock)
+            mp.setattr("sys.stdin", io.StringIO(text))
+            mp.setattr("sys.stdout", stdout := _Recorder())
+            metrics = os.path.join(tmp, "metrics.txt")
+            code = main(argv + ["--metrics", metrics])
+            with open(metrics, encoding="ascii") as fh:
+                lines = [line for line in fh.read().splitlines()
+                         if not line.startswith("elapsed_ns=")]
+        assert _no_child_left()
+        if forked is True:
+            assert forks == [1]
+        return code, stdout.writes, lines
+
+    @staticmethod
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    @pytest.mark.parametrize("paced", [False, True], ids=["full", "paced"])
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
+    def test_forked_and_in_process_runs_match(self, algo, output, mode, paced):
+        # a paced clock moves 1/64 s per reading, so batches close by _WAIT_S
+        # after four records; the same readings in either process
+        argv = ["topk", "--k", str(self.K), "--algo", algo, "--output", output, "--mode", mode]
+        text = _values_text(mode)
+        runs = [self.run(argv, text, forked, itertools.count(0, 1 / 64).__next__ if paced
+                         else None) for forked in (True, False)]
+        assert runs[0] == runs[1]
+        code, writes, _ = runs[0]
+        assert code == 0
+        assert "".join(writes) == "".join(_library_lines(text, self.K, algo, output, mode))
+        sizes = [w.count("\n") for w in writes]
+        assert sizes == ([1024, 1024, 452] if not paced else [4] * (self.K // 4))
+
+    def test_a_failed_fork_walks_in_process(self):
+        argv = ["topk", "--k", str(self.K), "--output", "subsets"]
+        text = _values_text("int")
+        assert self.run(argv, text, "fails") == self.run(argv, text, forked=False)
+
+    def test_a_truncated_answer(self, capsys):
+        text = " ".join(map(str, range(1, 11)))  # 1,023 subsets
+        code, writes, metrics = self.run(["topk", "--k", "2000"], text, forked=True)
+        assert code == 0
+        assert "".join(writes).count("\n") == 1023
+        assert "extractions=1023" in metrics
+        assert "note: truncated at 1023 subsets" in capsys.readouterr().err
+
+    def test_a_closed_stdout_kills_the_walk(self, monkeypatch, tmp_path):
+        class Closing(_Recorder):
+            def write(self, text):
+                if self.writes:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def fileno(self):  # main points fd 1 at devnull: give it one of ours
+                return self.fh.fileno()
+
+        forks = _fork_count(monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(_values_text("int")))
+        monkeypatch.setattr("sys.stdout", stdout := Closing())
+        with open(tmp_path / "out", "wb") as stdout.fh:
+            metrics = tmp_path / "metrics.txt"
+            assert main(["topk", "--k", str(self.K), "--metrics", str(metrics)]) == 141
+        assert forks == [1] and _no_child_left()
+        assert [w.count("\n") for w in stdout.writes] == [1024]
+        assert not metrics.exists()
+
+    def failing_walk(self, monkeypatch, fail):
+        """Patch cli.topk so that the walk calls fail() after its first batch."""
+        real = cli.topk
+
+        def walk(*args):
+            stream, metrics = real(*args)
+
+            def items():
+                for rank, item in enumerate(stream, 1):
+                    if rank == cli._BATCH + 10:
+                        fail()
+                    yield item
+
+            return items(), metrics
+
+        monkeypatch.setattr(cli, "topk", walk)
+        monkeypatch.setattr("sys.stdin", io.StringIO(_values_text("int")))
+        monkeypatch.setattr("sys.stdout", stdout := _Recorder())
+        return stdout
+
+    def test_a_walk_that_raises_fails_the_run(self, monkeypatch, tmp_path, capsys):
+        def fail():
+            raise RuntimeError("the walk broke")
+
+        stdout = self.failing_walk(monkeypatch, fail)
+        forks = _fork_count(monkeypatch)
+        metrics = tmp_path / "metrics.txt"
+        assert main(["topk", "--k", str(self.K), "--metrics", str(metrics)]) == 1
+        assert forks == [1] and _no_child_left()
+        err = capsys.readouterr().err
+        assert err.startswith("error: the walk failed: Traceback")
+        assert err.endswith("RuntimeError: the walk broke\n")
+        assert [w.count("\n") for w in stdout.writes] == [1024]
+        assert not metrics.exists()
+
+    def test_a_walk_killed_by_a_signal_fails_the_run(self, monkeypatch, tmp_path, capsys):
+        test_pid = os.getpid()
+
+        def fail():
+            assert os.getpid() != test_pid, "the walk ran in the test's own process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        stdout = self.failing_walk(monkeypatch, fail)
+        forks = _fork_count(monkeypatch)
+        metrics = tmp_path / "metrics.txt"
+        assert main(["topk", "--k", str(self.K), "--metrics", str(metrics)]) == 1
+        assert forks == [1] and _no_child_left()
+        assert capsys.readouterr().err == (
+            f"error: the walk failed: its process ended by signal {signal.SIGKILL.value}"
+            " before its last frame\n")
+        assert [w.count("\n") for w in stdout.writes] == [1024]
+        assert not metrics.exists()
 
 
 class TestFlagErrors:
@@ -581,6 +749,28 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert len(lines) == len(ALGOS) + 5  # one line per algo, five structure widths
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_float_sweep_passes(self, capsys):
+        out, _ = run_ok(["verify", "--mode", "float", "--n-max", "6", "--seeds", "3"], capsys)
+        lines = [" ".join(line.split()) for line in out.splitlines()]
+        assert lines[:len(ALGOS)] == [f"oracle-equivalence[{a} float] PASS" for a in ALGOS]
+        assert len(lines) == len(ALGOS) + 6 and all(line.endswith("PASS") for line in lines)
+
+    def test_float_sweep_detects_totals_summed_as_floats(self, capsys, monkeypatch):
+        def float_sums(r, k, variant):
+            # every walk adds the input's floats themselves, not their exact ints
+            floats = core.InputSet(r.values, r.mode)
+            object.__setattr__(floats, "exact", r.values)
+            object.__setattr__(floats, "scale", 1)
+            return topk(floats, k, variant)
+
+        monkeypatch.setattr(cli, "topk", float_sums)
+        code = main(["verify", "--mode", "float", "--n-max", "6", "--seeds", "3"])
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [line.split(" (")[0] for line in lines[:len(ALGOS)]] == [
+            f"oracle-equivalence[{a} float] FAIL" for a in ALGOS]
+        assert all(line.endswith("PASS") for line in lines[len(ALGOS):])
 
     def test_a_repeated_algo_gives_one_line(self, capsys):
         out, _ = run_ok(["verify", "--n-max", "3", "--seeds", "1", "--algos", "compact,compact"],

@@ -21,7 +21,10 @@ recompiles the package at every start, and both change what a CLI wall
 time holds.  Then prints each side's median
 [quartiles] of every end-to-end metric, the ratio of the change's median
 to the parent's (its base, printed first), the pairs the change won and a
-verdict, and the ``src/`` line count of both sides.  The verdict is the
+verdict, the ``src/`` line count of both sides, and each side's
+``cpus_usable`` from its records.  A run with fewer than 2 usable CPUs
+gets a warning on stderr: there the CLI's walk and writer share one CPU,
+so their overlap cannot show.  The verdict is the
 first of these that holds:
 
 * ``worse``: the change's median is worse than the parent's by more than
@@ -117,6 +120,18 @@ def summarize(entries: list, workloads: list, metrics: list) -> None:
                   f"  x{ratio:.3f}  change better in {wins}/{len(parent)}  {verdict}")
 
 
+def report_cpus(entries: list) -> None:
+    """Print each side's ``cpus_usable`` values; warn when a run had fewer than 2."""
+    for side in ("parent", "change"):
+        cpus = sorted({e["cpus_usable"] for e in entries if e["side"] == side})
+        print(f"cpus_usable: {side} {','.join(map(str, cpus))}")
+    few = sum(e["cpus_usable"] < 2 for e in entries)
+    if few:
+        print(f"warning: {few} of {len(entries)} runs had fewer than 2 usable CPUs; the CLI's"
+              " walk and writer shared one there, so a gain from their overlap cannot show",
+              file=sys.stderr)
+
+
 def main(argv: list) -> int:
     if len(argv) != 3 or not argv[1].isdigit() or int(argv[1]) < 1:
         print("usage: python3 tools/bench_pairs.py BASE_REV PAIRS OUT", file=sys.stderr)
@@ -151,6 +166,7 @@ def main(argv: list) -> int:
         return 1
     summarize(entries, workloads, spec["end_to_end"])
     print(f"src/ lines: parent {lines['parent']} -> change {lines['change']}")
+    report_cpus(entries)
     return 0
 
 
