@@ -17,16 +17,14 @@ import io
 import marshal
 import os
 import sys
-from collections import deque
 from contextlib import closing, nullcontext, suppress
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from operator import itemgetter
 from time import monotonic
 from typing import IO, Callable, Iterator, Sequence
 
-from .core import (Delta, InputError, RankedSubset, _new, answer_width, expand_deltas,
-                   load_input)
+from .core import InputError, _replayer, answer_width, load_input
 from .enumerators import RunMetrics, Variant, topk
 from .shifts import final_dag_report, pattern_text, walk_final_dag
 
@@ -142,8 +140,8 @@ def _shape(args: argparse.Namespace) -> str:
     """What a batch keeps of each record for this output.
 
     A batch keeps each record's total, and its delta or its positions when
-    the output prints them (``_FIELDS``); ``_rebuild`` makes the records
-    again from those, counting ranks from the batch's first.
+    the output prints them (``_FIELDS``); the writer formats those fields,
+    counting ranks from the batch's first.
     """
     if args.output == "sums":
         return "sums"
@@ -155,16 +153,6 @@ _FIELDS = {
     "deltas": lambda item: (item[1], *item[3]),
     "positions": itemgetter(1, 2),
 }
-
-
-def _rebuild(shape: str, rank: int, batch: list) -> list:
-    if shape == "sums":
-        return [_new(RankedSubset, (q, total, None, None)) for q, total in enumerate(batch, rank)]
-    if shape == "deltas":
-        return [_new(RankedSubset, (q, total, None, _new(Delta, (parent, removed, added))))
-                for q, (total, parent, removed, added) in enumerate(batch, rank)]
-    return [_new(RankedSubset, (q, total, positions, None))
-            for q, (total, positions) in enumerate(batch, rank)]
 
 
 def _walk(r, args: argparse.Namespace) -> Iterator:
@@ -281,15 +269,11 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # k <= _BATCH is one batch, which nothing could overlap: the walk stays here
     walk = partial(_walk, r, args)
     frames = _forked(walk) if args.k > _BATCH and hasattr(os, "fork") else walk()
-    shape = _shape(args)
-    # the loop below adds each batch's records, then takes as many
-    pending: deque = deque()
-    stream = iter(pending.popleft, None)
-    if args.output == "subsets" and args.algo == "compact":
-        stream = expand_deltas(stream)
-    # no answer holds a position past answer_width - 1 or n: their decimal strings
-    decimal = (list(map(str, range(min(r.n + 1, answer_width(r.exact, args.k)))))
-               if args.output == "subsets" else [])
+    if args.output == "subsets":
+        # no answer holds a position past answer_width - 1 or n: their decimal strings
+        decimal = list(map(str, range(min(r.n + 1, answer_width(r.exact, args.k))))).__getitem__
+        join = ",".join
+        step = _replayer() if args.algo == "compact" else None
     out, rank, metrics = sys.stdout, 1, None
     # a closed stdout raises BrokenPipeError at a write, before --metrics is written
     try:
@@ -298,18 +282,18 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 if isinstance(frame, tuple):  # the last frame
                     metrics = RunMetrics(*frame)
                     continue
-                pending.extend(_rebuild(shape, rank, frame))
+                if args.output == "sums":
+                    lines = [f"{q}\t{total}\n" for q, total in enumerate(frame, rank)]
+                elif args.output == "deltas":  # (total, parent, removed, added), None as "-"
+                    lines = [f"{q}\t" + "\t".join(["-" if v is None else str(v) for v in fields])
+                             + "\n" for q, fields in enumerate(frame, rank)]
+                elif step is None:  # (total, positions)
+                    lines = [f"{q}\t{total}\t{join(map(decimal, positions))}\n"
+                             for q, (total, positions) in enumerate(frame, rank)]
+                else:  # compact's (total, parent, removed, added), replayed into positions
+                    lines = [f"{q}\t{total}\t{join(map(decimal, step(parent, removed, added)))}\n"
+                             for q, (total, parent, removed, added) in enumerate(frame, rank)]
                 rank += len(frame)
-                lines = []
-                for item in islice(stream, len(frame)):
-                    if args.output == "sums":
-                        lines.append(f"{item.rank}\t{item.total}\n")
-                    elif args.output == "subsets":
-                        joined = ",".join(map(decimal.__getitem__, item.positions))
-                        lines.append(f"{item.rank}\t{item.total}\t{joined}\n")
-                    else:
-                        patch = "\t".join("-" if v is None else str(v) for v in item.delta)
-                        lines.append(f"{item.rank}\t{item.total}\t{patch}\n")
                 out.write("".join(lines))
                 out.flush()
     except _WalkFailed as exc:
@@ -332,7 +316,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # verify and bench import their helpers on call: statistics is not loaded for topk
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .bench import gen_float_instance, gen_instance
-    from .oracle import all_subsets_sorted
+    from .oracle import all_subsets_sorted, subset_problem
 
     if args.n_max > 16:
         parser.error("--n-max is capped at 16 (oracle cost doubles per step)")
@@ -353,14 +337,16 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         want, where = [s for s, _ in all_subsets_sorted(inst)], f"(n={n}, seed={seed}, k={k})"
         for variant in pending:
             try:
-                got = [item.total for item in topk(inst, k, variant)[0]]
+                records = list(topk(inst, k, variant)[0])
+                got = [item.total for item in records]
+                if got != want:
+                    first_bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                                     min(len(got), len(want)))
+                    first_problem[variant] = f"{where} rank {first_bad + 1}"
+                elif (problem := subset_problem(inst, records)) is not None:
+                    first_problem[variant] = f"{where} {problem}"
             except Exception as exc:
                 first_problem[variant] = f"{where} raised {exc!r}"
-                continue
-            if got != want:
-                first_bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
-                                 min(len(got), len(want)))
-                first_problem[variant] = f"{where} rank {first_bad + 1}"
     failed = sum(report(f"oracle-equivalence[{v.value}{tag}]", problem)
                  for v, problem in first_problem.items())
 

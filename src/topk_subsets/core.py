@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter, le, methodcaller, mul
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
     "InputError",
@@ -302,26 +302,21 @@ class RankedSubset(NamedTuple):
 _new = tuple.__new__
 
 
-def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
-    """Replay a delta stream into explicit position tuples.
+def _replayer() -> Callable[..., SubsetPositions]:
+    """The one delta replay: ``step(parent_rank, removed, added)``, the next rank's positions.
 
-    Records must come with consecutive ranks from 1, each carrying a delta
-    whose ``parent_rank`` refers to an earlier record (None for the root).
-    One position tuple per rank is kept, in a list indexed by rank, so
-    memory grows with the number of records, O(k * n) worst case, since
-    any later delta may reference any earlier rank.
+    Ranks count from 1.  ``expand_deltas`` and the ``topk`` CLI's subset output share it.
+    It keeps each rank's positions, O(k * n) memory worst case, as any later delta may
+    name any earlier rank.  A delta that cannot apply raises ``ValueError`` naming its rank.
     """
-    known: list = [None]  # known[rank]: the positions emitted at that rank
-    for item in stream:
-        rank, d = item.rank, item.delta
-        if rank != len(known):
-            raise ValueError(f"rank {rank}: out of sequence, expected rank {len(known)}")
-        if d is None:
-            raise ValueError(f"rank {rank}: no delta to expand")
-        parent, removed, added = d
+    known: list = [None]  # known[rank]: the positions given at that rank
+
+    def step(parent, removed, added) -> SubsetPositions:
+        rank = len(known)
         if parent is None:
             if added is None or removed is not None:
-                raise ValueError(f"rank {rank}: malformed root delta {d}")
+                raise ValueError(
+                    f"rank {rank}: malformed root delta {Delta(parent, removed, added)}")
             positions = (added,)
         else:
             if not 0 < parent < rank:
@@ -330,9 +325,8 @@ def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
             if removed is not None:
                 i = bisect_left(positions, removed)
                 if i == len(positions) or positions[i] != removed:
-                    raise ValueError(
-                        f"rank {rank}: removed position {removed} absent from parent subset"
-                    )
+                    raise ValueError(f"rank {rank}: removed position {removed} "
+                                     "absent from parent subset")
                 if added == removed + 1 and positions[i + 1 : i + 2] != (added,):
                     # a shift onto a free slot: the sorted order is kept in place
                     positions = positions[:i] + (added,) + positions[i + 1 :]
@@ -345,4 +339,24 @@ def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
                     raise ValueError(f"rank {rank}: added position {added} already present")
                 positions = positions[:i] + (added,) + positions[i:]
         known.append(positions)
-        yield _new(RankedSubset, (rank, item.total, positions, d))
+        return positions
+
+    return step
+
+
+def expand_deltas(stream: Iterable[RankedSubset]) -> Iterator[RankedSubset]:
+    """Replay a delta stream into explicit position tuples.
+
+    Records must come with consecutive ranks from 1, each carrying a delta
+    whose ``parent_rank`` refers to an earlier record (None for the root).
+    ``_replayer``, which the ``topk`` CLI shares, replays the deltas.
+    """
+    step = _replayer()
+    for expected, item in enumerate(stream, 1):
+        rank, d = item.rank, item.delta
+        if rank != expected:
+            raise ValueError(f"rank {rank}: out of sequence, expected rank {expected}")
+        if d is None:
+            raise ValueError(f"rank {rank}: no delta to expand")
+        parent, removed, added = d
+        yield _new(RankedSubset, (rank, item.total, step(parent, removed, added), d))

@@ -13,9 +13,12 @@ Sums are exact in both modes: the oracle adds and sorts the input's
 
 from __future__ import annotations
 
-from .core import InputSet, Number, SubsetPositions, unscale
+from operator import lt
+from typing import Sequence
 
-__all__ = ["all_subsets_sorted", "topk_oracle"]
+from .core import InputSet, Number, RankedSubset, SubsetPositions, expand_deltas, unscale
+
+__all__ = ["all_subsets_sorted", "subset_problem", "topk_oracle"]
 
 _N_CAP = 24
 
@@ -38,6 +41,32 @@ def all_subsets_sorted(r: InputSet) -> list[tuple[Number, SubsetPositions]]:
     if r.mode == "float":
         return [(unscale(total, r.scale), positions) for total, positions in out]
     return out
+
+
+def subset_problem(r: InputSet, records: Sequence[RankedSubset]) -> "str | None":
+    """The first record whose subset is wrong, as ``rank <q>: ...``, or None.
+
+    Delta records (``compact``'s) are replayed by :func:`expand_deltas`
+    first.  Each record's positions must be strictly increasing within
+    1..n, their exact sum must be its total (through ``unscale`` in float
+    mode), and no subset may appear twice.  The totals themselves are the
+    caller's to compare with the oracle's.
+    """
+    if records and records[0].delta is not None:
+        records = expand_deltas(records)
+    n, value, seen = r.n, (0, *r.exact).__getitem__, set()  # value(p): the value at p
+    scale = None if r.mode == "int" else r.scale
+    for rank, total, positions, _ in records:
+        if not (positions and 0 < positions[0] and positions[-1] <= n
+                and all(map(lt, positions, positions[1:]))):
+            return f"rank {rank}: positions {positions} are not non-empty and increasing in 1..{n}"
+        got = sum(map(value, positions))
+        if (got if scale is None else unscale(got, scale)) != total:
+            return f"rank {rank}: positions {positions} do not sum to {total}"
+        if positions in seen:
+            return f"rank {rank}: subset {positions} repeated"
+        seen.add(positions)
+    return None
 
 
 # public, though unused here: perfbench's checker tests import it as their reference

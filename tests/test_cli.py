@@ -443,17 +443,30 @@ class TestForkedWalk:
     @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
     def test_forked_and_in_process_runs_match(self, algo, output, mode, paced):
         # a paced clock moves 1/64 s per reading, so batches close by _WAIT_S
-        # after four records; the same readings in either process
+        # after four records; the same readings in either process.  A still
+        # clock closes them by size alone: under the real one, a full collection
+        # of the test process's heap (40-50 ms) can close a batch early.
         argv = ["topk", "--k", str(self.K), "--algo", algo, "--output", output, "--mode", mode]
         text = _values_text(mode)
         runs = [self.run(argv, text, forked, itertools.count(0, 1 / 64).__next__ if paced
-                         else None) for forked in (True, False)]
+                         else lambda: 0.0) for forked in (True, False)]
         assert runs[0] == runs[1]
         code, writes, _ = runs[0]
         assert code == 0
         assert "".join(writes) == "".join(_library_lines(text, self.K, algo, output, mode))
         sizes = [w.count("\n") for w in writes]
         assert sizes == ([1024, 1024, 452] if not paced else [4] * (self.K // 4))
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_compact_subsets_match_bitvec(self, mode, forked):
+        # compact's writer replays deltas; bitvec decodes each pattern and replays nothing
+        argv = ["topk", "--k", str(self.K), "--output", "subsets", "--mode", mode, "--algo"]
+        text = _values_text(mode)
+        compact, bitvec = (self.run(argv + [algo], text, forked)[1]
+                           for algo in ("compact", "bitvec"))
+        assert "".join(compact) == "".join(bitvec)
+        assert "".join(compact).count("\n") == self.K
 
     def test_a_failed_fork_walks_in_process(self):
         argv = ["topk", "--k", str(self.K), "--output", "subsets"]
@@ -818,6 +831,37 @@ class TestVerifyCommand:
         assert lines[0] == ("oracle-equivalence[compact] FAIL (n=3, seed=0, k=7) "
                             "raised IndexError('extract_min on an empty pool')")
         assert all(line.endswith("PASS") for line in lines[1:])
+
+    def test_detects_a_replay_that_drops_a_shift(self, capsys, monkeypatch):
+        # a shift to the next slot loses its added position; the totals stay right
+        real = core._replayer
+
+        def dropping():
+            step = real()
+            return lambda parent, removed, added: step(
+                parent, removed, None if removed is not None and added == removed + 1 else added)
+
+        monkeypatch.setattr(core, "_replayer", dropping)
+        code = main(["verify", "--n-max", "4", "--seeds", "1", "--algos", "compact"])
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert lines[0] == ("oracle-equivalence[compact] FAIL (n=2, seed=0, k=3) rank 2: "
+                            "positions () are not non-empty and increasing in 1..2")
+        assert all(line.endswith("PASS") for line in lines[1:])
+
+    def test_detects_a_decode_that_drops_a_position(self, capsys, monkeypatch):
+        # the first member of a pattern is lost from each record of two or more
+        import topk_subsets.shifts as shifts
+
+        real = shifts.positions_from_bits
+        monkeypatch.setattr(shifts, "positions_from_bits",
+                            lambda bits: real(bits)[1:] or real(bits))
+        code = main(["verify", "--n-max", "4", "--seeds", "1", "--algos", "bitvec"])
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        # the DAG checks decode patterns too, and fail from n = 2 on
+        assert lines[0] == ("oracle-equivalence[bitvec] FAIL (n=2, seed=0, k=3) rank 3: "
+                            "positions (2,) do not sum to 963237")
 
     @pytest.mark.parametrize("fault, rank", [("altered", 5), ("short", 7)])
     def test_reports_the_first_wrong_rank(self, capsys, monkeypatch, fault, rank):

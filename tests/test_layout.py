@@ -1,6 +1,7 @@
 """Package layout rules: no code in src/ that only tests call, one module
-that indexes final-DAG nodes, one that keeps a run's counters, and docs that
-name the variants and the CLI subcommands the package has.
+that indexes final-DAG nodes, one that keeps a run's counters, a CLI that
+builds no record, and docs that name the variants and the CLI subcommands
+the package has.
 
 Every name a module lists in ``__all__`` or defines at top level (by
 ``def``, ``class`` or assignment; dunders aside) must be used somewhere in
@@ -116,6 +117,15 @@ def wide_indexes(tree):
 def test_only_shifts_indexes_dag_nodes(path):
     # only final-DAG nodes have more than four fields; shifts lays them out
     assert wide_indexes(parse(path)) == [], f"{path.name} reads a node field outside shifts"
+
+
+def test_the_cli_formats_fields_and_builds_no_record():
+    # the writer formats the walk's fields, and the delta replay lives in core alone
+    tree = parse(PACKAGE / "cli.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    record_names = {"RankedSubset", "Delta", "_new", "expand_deltas"}
+    assert (imported | used_names(tree)) & record_names == set()
 
 
 def counter_writes(tree):
