@@ -20,7 +20,6 @@ import sys
 from contextlib import closing, nullcontext, suppress
 from functools import partial
 from itertools import product
-from operator import itemgetter
 from time import monotonic
 from typing import IO, Callable, Iterator, Sequence
 
@@ -136,32 +135,12 @@ class _Counted(io.RawIOBase):
         return n
 
 
-def _shape(args: argparse.Namespace) -> str:
-    """What a batch keeps of each record for this output.
-
-    A batch keeps each record's total, and its delta or its positions when
-    the output prints them (``_FIELDS``); the writer formats those fields,
-    counting ranks from the batch's first.
-    """
-    if args.output == "sums":
-        return "sums"
-    return "deltas" if args.algo == "compact" else "positions"
-
-
-_FIELDS = {
-    "sums": itemgetter(1),
-    "deltas": lambda item: (item[1], *item[3]),
-    "positions": itemgetter(1, 2),
-}
-
-
 def _walk(r, args: argparse.Namespace) -> Iterator:
-    """The walk's frames: batches of record fields, then a tuple of the RunMetrics fields."""
-    stream, metrics = topk(r, args.k, Variant(args.algo))
-    fields = _FIELDS[_shape(args)]
+    """The walk's frames: batches of the fields printed, then a tuple of the RunMetrics fields."""
+    stream, metrics = topk(r, args.k, Variant(args.algo), args.output)
     batch, last = [], monotonic()
-    for item in stream:
-        batch.append(fields(item))
+    for fields in stream:
+        batch.append(fields)
         if len(batch) >= _BATCH or monotonic() - last >= _WAIT_S:
             yield batch
             batch, last = [], monotonic()

@@ -1,13 +1,14 @@
 """Three interchangeable streaming top-k enumerators on one best-first driver.
 
 Each step of the driver extracts the smallest-sum node from a
-:class:`BoundedPool`, inserts the node's successors and emits it as a
-:class:`RankedSubset`, one record per extraction, so consuming q items
-never does the work of q+1.  A variant picks the root, successor rule,
-record and sum key.  All but ``baseline`` skip the successors of the final
-extraction (nothing after it can surface) and after every other step q,
-when the pool holds more than the k - q answers still owed, declare that
-budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
+:class:`BoundedPool`, inserts its successors and emits it as one item (a
+:class:`RankedSubset`, or the fields that the ``topk`` CLI prints), so
+consuming q items never does the work of q+1.  A variant picks the root,
+successor rule, item and sum key.  All but ``baseline`` skip the
+successors of the final extraction (nothing after it can surface) and
+after every other step q, when the pool holds more than the k - q answers
+still owed, declare that budget with ``prune_to(k - q)``; a pruned entry
+could never be emitted.
 
 ``baseline``
     Prior-work scheme over ``(positions, total)`` nodes.  Children of S
@@ -27,7 +28,7 @@ budget with ``prune_to(k - q)``; a pruned entry could never be emitted.
     :func:`topk_subsets.core.expand_deltas` replays into positions.
 
 Every walk adds the input's ``exact`` ints, so float mode orders by the
-exact sums; its records carry them rounded once to floats (``unscale``).
+exact sums; its items carry them rounded once to floats (``unscale``).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import Iterator
 
 from .core import InputSet, RankedSubset, _new, unscale
 from .pool import BoundedPool
-from .shifts import (bit_root, bitvec_record, compact_children, compact_root, delta_record,
-                     final_dag_children, node_total)
+from .shifts import (_bitvec_fields, _compact_fields, bit_root, bitvec_record, compact_children,
+                     compact_root, delta_record, final_dag_children, node_total, with_total)
 
 __all__ = ["RunMetrics", "Variant", "topk"]
 
@@ -54,7 +55,7 @@ class RunMetrics:
 
     ``total_insertions`` counts the root and every child inserted, ``peak_size``
     the largest size after a step's inserts (a pool only grows within a step),
-    ``extractions`` the records emitted, ``prunes`` the live entries a budget
+    ``extractions`` the items emitted, ``prunes`` the live entries a budget
     dropped, and ``elapsed_ns`` the wall time from the first ``next()`` to the
     end, the consumer's time between yields included.  Under the ``topk`` CLI
     above 1,024 answers the walk runs in its own process, and its consumer is
@@ -89,20 +90,20 @@ def _positions_record(rank: int, node: tuple) -> RankedSubset:
     return _new(RankedSubset, (rank, node[1], node[0], None))
 
 
-def _best_first(r, k_eff, root, successors, record, key, expand_all=False):
-    """Emit ``record(q, node)`` for the k_eff best nodes reachable from root.
+_baseline_fields = {"sums": lambda q, node: node[1], "subsets": lambda q, node: (node[1], node[0])}
 
-    ``successors(node, r, q)`` gives the children of the q-th node and
-    ``key(node)`` its exact sum.  ``expand_all`` (baseline) expands every
-    extraction and never prunes.
+
+def _best_first(r, k_eff, root, successors, record, key, with_total, expand_all=False):
+    """Emit the item ``record(q, node)`` for the k_eff best nodes reachable from root.
+
+    ``successors(node, r, q)`` gives the children of the q-th node and ``key(node)``
+    its exact sum.  Float mode builds each item from ``with_total(node, key(node)
+    rounded once)``.  ``expand_all`` (baseline) expands every extraction, never prunes.
     """
     metrics = RunMetrics()
     if r.mode == "float":
-        exact_record, scale = record, r.scale
-
-        def record(q: int, node) -> RankedSubset:
-            item = exact_record(q, node)
-            return _new(RankedSubset, (q, unscale(item[1], scale), item[2], item[3]))
+        def record(q: int, node, exact_record=record, scale=r.scale):
+            return exact_record(q, with_total(node, unscale(key(node), scale)))
 
     def gen() -> Stream:
         t0 = time.perf_counter_ns()
@@ -137,6 +138,7 @@ def topk(
     r: InputSet,
     k: int,
     variant: "Variant | str" = Variant.ONDEMAND_COMPACT,
+    _fields: "str | None" = None,
 ) -> tuple[Stream, RunMetrics]:
     """Stream the k smallest-sum subsets of r under the chosen variant.
 
@@ -147,7 +149,8 @@ def topk(
     exist, the stream ends early and ``metrics.extractions`` reports how
     many were emitted.  Sums are non-decreasing; ties order arbitrarily
     but deterministically.  Float-mode totals are floats, each the exact
-    sum rounded once (``inf`` past the float range).
+    sum rounded once (``inf`` past the float range).  ``_fields``, the
+    ``topk`` CLI's ``--output``, makes it yield the fields printed, not records.
     """
     variant = Variant(variant)
     if k < 1:
@@ -156,8 +159,10 @@ def topk(
     k_eff = k if r.n >= 64 else min(k, (1 << r.n) - 1)
     if variant is Variant.BASELINE:
         return _best_first(r, k_eff, ((1,), r.exact[0]), _baseline_successors,
-                           _positions_record, itemgetter(1), expand_all=True)
+                           _baseline_fields.get(_fields, _positions_record), itemgetter(1),
+                           lambda node, total: (node[0], total), expand_all=True)
     if variant is Variant.ONDEMAND_BITVEC:
-        return _best_first(r, k_eff, bit_root(r), final_dag_children, bitvec_record,
-                           node_total)
-    return _best_first(r, k_eff, compact_root(r), compact_children, delta_record, node_total)
+        return _best_first(r, k_eff, bit_root(r), final_dag_children,
+                           _bitvec_fields.get(_fields, bitvec_record), node_total, with_total)
+    return _best_first(r, k_eff, compact_root(r), compact_children,
+                       _compact_fields.get(_fields, delta_record), node_total, with_total)

@@ -50,6 +50,7 @@ __all__ = [
     "compact_children",
     "node_total",
     "delta_record",
+    "with_total",
     "positions_from_bits",
     "pattern_text",
     "bit_root",
@@ -138,6 +139,11 @@ def delta_record(rank: int, node: tuple) -> RankedSubset:
     return _new(RankedSubset, (rank, node[5], None, _new(Delta, node[6:])))
 
 
+def with_total(node: tuple, total) -> tuple:
+    """The node with ``total`` in place of its exact one: float mode builds its items so."""
+    return node[:5] + (total,) + node[6:]
+
+
 # -- bit-vector nodes: a compact node plus its pattern --------------------------
 
 
@@ -181,6 +187,13 @@ def bitvec_record(rank: int, node: tuple) -> RankedSubset:
     scan hides the n in the constant and fails both.
     """
     return _new(RankedSubset, (rank, node[5], positions_from_bits(node[9]), None))
+
+
+# per topk CLI --output, the fields it prints of a node: its walk yields them, not records
+_compact_fields = {"sums": lambda rank, node: node[5], "deltas": lambda rank, node: node[5:9]}
+_compact_fields["subsets"] = _compact_fields["deltas"]
+_bitvec_fields = {"sums": _compact_fields["sums"],
+                 "subsets": lambda rank, node: (node[5], positions_from_bits(node[9]))}
 
 
 # -- structural checkers --------------------------------------------------------

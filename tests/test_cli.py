@@ -17,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topk_subsets
-from topk_subsets import cli, core
-from topk_subsets.bench import splitmix64_stream
+from topk_subsets import cli, core, enumerators
+from topk_subsets.bench import gen_float_instance, splitmix64_stream
 from topk_subsets.cli import main
 from topk_subsets.core import load_input
 from topk_subsets.enumerators import Variant, topk
@@ -468,6 +468,48 @@ class TestForkedWalk:
         assert "".join(compact) == "".join(bitvec)
         assert "".join(compact).count("\n") == self.K
 
+    # tie-heavy ints, and subnormals with values near 1e308 whose larger sums are inf
+    DIFF_INPUTS = {
+        "ties": " ".join(str(1 + i % 6) for i in range(40)),
+        "gen_float": " ".join(map(repr, gen_float_instance(12, 1).values)),
+    }
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("text, mode", [("ties", "int"), ("ties", "float"),
+                                            ("gen_float", "float")], ids="-".join)
+    @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
+    def test_the_wire_fields_print_as_the_records(self, algo, output, text, mode, forked):
+        # the walk sends fields built from its nodes; the public stream's records must agree
+        text = self.DIFF_INPUTS[text]
+        argv = ["topk", "--k", str(self.K), "--algo", algo, "--output", output, "--mode", mode]
+        code, writes, _ = self.run(argv, text, forked)
+        want = _library_lines(text, self.K, algo, output, mode)
+        assert code == 0 and len(want) == self.K
+        assert "".join(writes) == "".join(want)
+
+    def test_the_gen_float_input_reaches_inf_and_subnormals(self):
+        totals = [item.total for item in topk(load_input(self.DIFF_INPUTS["gen_float"], "float"),
+                                               self.K)[0]]
+        assert totals.count(float("inf")) > 0 and 0 < totals[0] < 2.3e-308
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
+    def test_the_walk_builds_no_record(self, monkeypatch, algo, output, mode, forked):
+        text = _values_text(mode)
+        want = _library_lines(text, self.K, algo, output, mode)
+
+        def refuse(rank, node):
+            raise AssertionError("the CLI's walk built a record")
+
+        for name in ("delta_record", "bitvec_record", "_positions_record"):
+            monkeypatch.setattr(enumerators, name, refuse)
+        argv = ["topk", "--k", str(self.K), "--algo", algo, "--output", output, "--mode", mode]
+        code, writes, _ = self.run(argv, text, forked)
+        assert code == 0
+        assert "".join(writes) == "".join(want)
+        assert not hasattr(cli, "_FIELDS")
+
     def test_a_failed_fork_walks_in_process(self):
         argv = ["topk", "--k", str(self.K), "--output", "subsets"]
         text = _values_text("int")
@@ -492,6 +534,7 @@ class TestForkedWalk:
                 return self.fh.fileno()
 
         forks = _fork_count(monkeypatch)
+        monkeypatch.setattr(cli, "monotonic", lambda: 0.0)  # batches close by size alone
         monkeypatch.setattr("sys.stdin", io.StringIO(_values_text("int")))
         monkeypatch.setattr("sys.stdout", stdout := Closing())
         with open(tmp_path / "out", "wb") as stdout.fh:
@@ -502,7 +545,10 @@ class TestForkedWalk:
         assert not metrics.exists()
 
     def failing_walk(self, monkeypatch, fail):
-        """Patch cli.topk so that the walk calls fail() after its first batch."""
+        """Patch cli.topk so that the walk calls fail() after its first batch.
+
+        The clock stands still, so that batch closes by its size alone.
+        """
         real = cli.topk
 
         def walk(*args):
@@ -517,6 +563,7 @@ class TestForkedWalk:
             return items(), metrics
 
         monkeypatch.setattr(cli, "topk", walk)
+        monkeypatch.setattr(cli, "monotonic", lambda: 0.0)
         monkeypatch.setattr("sys.stdin", io.StringIO(_values_text("int")))
         monkeypatch.setattr("sys.stdout", stdout := _Recorder())
         return stdout
