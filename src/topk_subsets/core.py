@@ -168,21 +168,20 @@ def load_input(
     negative values, and integer inputs that could overflow 64-bit sums
     are rejected.
 
-    ``keep=k`` loads only what the k smallest subset sums can use: the
-    :func:`answer_width` smallest values, m+1 with m the number of values
-    <= B = min(v_k, v_1+...+v_j), j = ``k.bit_length()`` (all of them when
-    m+1 >= n).  The sum term can cut even when k >= n.  Adding values can
-    only lower B, so once the values read so far can be cut, their
-    (m+1)-th value is a limit that no value of the final prefix exceeds,
-    and each later block keeps only the values up to it.  The kept values
-    are sorted and cut again whenever their number doubles, so the sorts
-    stay O(n log n) when nothing can be cut, and memory follows the kept
-    values plus one block.  The cut applies in int mode only: a float
-    parse accepts ``inf`` and ``nan``, so a float cut would need a
-    finiteness scan of every value first.  Verdicts and messages do not
-    depend on ``keep``: each token is parsed, the 63-bit guard takes the n
-    and maximum of every value, and the minimum, which the sign check
-    names, is never cut.
+    ``keep=k`` loads only what the k smallest subset sums can use, by one
+    rule in both modes: every value is checked, then the :func:`answer_width`
+    prefix of the exact values is kept, m+1 values with m the number of
+    values <= B = min(v_k, v_1+...+v_j), j = ``k.bit_length()``, so verdicts
+    and messages do not depend on ``keep``.  The sum term can cut even when
+    k >= n.  An int load also cuts while it reads: adding values can only
+    lower B, so once the values read so far can be cut, their (m+1)-th value
+    is a limit that no value of the final prefix exceeds, and each later
+    block keeps only the values up to it.  The kept values are sorted and
+    cut again whenever their number doubles, so the sorts stay O(n log n)
+    when nothing can be cut, and memory follows the kept values plus one
+    block.  Each token is still parsed, the 63-bit guard takes the n and
+    maximum of every value, and the sign check's minimum is never cut.  A
+    float load keeps every value until the checks see each ``inf`` and ``nan``.
 
     The source is taken ``_BLOCK`` characters at a time: a string is
     sliced, not wrapped in a stream, so it is never copied whole, and a
@@ -194,14 +193,13 @@ def load_input(
     """
     if keep is not None and keep < 1:
         raise ValueError("keep must be >= 1")
-    cut = keep is not None and mode == "int"
     parse = int if mode == "int" else float
     # a last "\n" ends the carried tail, so the loop parses it too
     blocks = chain((source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
                    if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""), ("\n",))
     values: list[Number] = []
     n = top = 0
-    tail, limit, cut_at = "", None, 1 if cut else math.inf
+    tail, limit, cut_at = "", None, 1 if keep is not None and mode == "int" else math.inf
     for block in blocks:
         end = block.rfind("\n") + 1  # 0: no "\n", the whole block is carried
         if not end:
@@ -224,9 +222,10 @@ def load_input(
     values.sort()
     if mode == "int" and values[0] >= 0:  # a negative input is reported as such first
         _check_int64(n, top)
-    if cut:
-        del values[answer_width(values, keep):]
-    return InputSet(tuple(values), mode)
+    r = InputSet(tuple(values), mode)
+    if keep is not None and (width := answer_width(r.exact, keep)) <= r.n:
+        r = InputSet(r.values[:width], mode)
+    return r
 
 
 def _parse(parse, text: str, rest: Iterator[str]) -> list:

@@ -105,6 +105,36 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_a_run_with_wrong_answers_fails(tmp_path, monkeypatch, capsys):
+    # run.py exits 0 when its checker finds wrong lines: its record lists them
+    problems = iter([[], ["2 totals smaller than the line before", "3 negative totals"]])
+    real = bench_pairs.run_side
+
+    def run_side(side, root, workload, seed, seconds):
+        work = tmp_path / ".perfbench_work" / f"{workload}-trace0"
+        work.mkdir(parents=True, exist_ok=True)
+        (work / "record.json").write_text(json.dumps(
+            {"workload": workload, "seed": seed, "module": str(tmp_path / "m.py"),
+             "problems": next(problems)}))
+        return real(side, str(tmp_path), workload, seed, seconds)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "src_lines", lambda root: 1464)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["BASE", "10", str(out)]) == 1
+    spec = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    first = spec["workloads"][0]["name"]
+    assert [(e["side"], e["workload"], e["seed"], e["problems"])
+            for e in json.loads(out.read_text())] == [("parent", first, 2, [])]
+    captured = capsys.readouterr()
+    assert (f"change {first} seed=2 failed: wrong answers, the first: "
+            "2 totals smaller than the line before\n") in captured.err
+    assert "1 earlier runs written to" in captured.err
+    assert captured.out == ""
+
+
 def test_src_lines_counts_every_python_file_under_src(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")

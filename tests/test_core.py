@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from enum import IntEnum
+from fractions import Fraction
 from typing import IO, Iterable, Iterator, Sequence, Union
 
 import pytest
@@ -294,7 +295,7 @@ class TestBlockReads:
     def test_tiny_blocks_match_the_reference(self, text, mode, block, k):
         want = _outcome(lambda: reference_load_input(text, mode))
         cut = want
-        if isinstance(want, list) and mode == "int":
+        if isinstance(want, list):
             cut = want[: _cut_length(reference_load_input(text, mode), k)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_BLOCK", block)
@@ -349,9 +350,10 @@ def _cut_length(values: tuple, k: int) -> int:
     """min(n, m+1), m the count of values <= min(v_k, v_1+...+v_j), j = k.bit_length().
 
     A term counts only when its positions exist; with neither, all n values.
+    The sum is exact, as float values need.
     """
     n, j = len(values), k.bit_length()
-    bounds = values[k - 1 : k] + (sum(values[:j]),) * (j <= n)
+    bounds = values[k - 1 : k] + (sum(map(Fraction, values[:j])),) * (j <= n)
     return min(n, bisect_right(values, min(bounds)) + 1) if bounds else n
 
 
@@ -412,6 +414,23 @@ def _run(r: InputSet, k: int, variant: Variant):
     stream, metrics = topk(r, k, variant)
     records = list(stream)
     return records, {name: getattr(metrics, name) for name in _COUNTERS}
+
+
+def _answers(records: list, variant: Variant) -> list:
+    """(total, positions) per rank, compact's positions replayed from its deltas."""
+    if variant is Variant.ONDEMAND_COMPACT:
+        records = expand_deltas(records)
+    return [(item.total, item.positions) for item in records]
+
+
+# duplicates, subnormals, values near 1e308, any non-negative float, and now and
+# then an inf, a nan or a negative token; -0.0 is accepted, as it equals 0.0
+_FLOAT_TOKENS = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "1.25", "3", "0.1", "0.2", "0.3", "5e-324",
+                     "2.2250738585072014e-308", "1e308", "1.7976931348623157e308",
+                     "8.98846567431158e307", "-0.0"] * 3 + ["inf", "nan", "-inf", "-2"]),
+    st.floats(min_value=0, allow_infinity=False).map(repr),
+)
 
 
 class TestAnswerBoundedLoad:
@@ -475,17 +494,44 @@ class TestAnswerBoundedLoad:
             list(range(1, 3001)),
             _uniform(3000, 18),
         ],
-        ids=["repeats", "all-equal", "zero-plateau", "distinct", "sampled-zeros",
+        ids=["repeats", "all-equal", "zero-plateau", "distinct", "zeros-under-the-limit",
              "range-3000", "uniform-3000"],
     )
     @pytest.mark.parametrize("k", [1, 5, 3000, 6000, 15_000, 18_999, 19_998])
-    def test_sampled_thresholds_on_wide_inputs(self, values, k):
+    def test_running_cut_on_wide_inputs(self, values, k):
         text = "\n".join(map(str, values))
         full = tuple(sorted(values))
         assert load_input(text, keep=k).values == full[: _cut_length(full, k)]
 
-    def test_float_mode_is_not_cut(self):
-        assert load_input("3 1 2 2", "float", keep=1).values == (1.0, 2.0, 2.0, 3.0)
+    def test_float_mode_keeps_the_answer_width_prefix(self):
+        full = load_input("3 1 2 2", "float")
+        assert full.values == (1.0, 2.0, 2.0, 3.0)
+        width = core.answer_width(full.exact, 1)
+        assert load_input("3 1 2 2", "float", keep=1).values == full.values[:width] == (1.0, 2.0)
+
+    @settings(max_examples=300)  # about one text in three is cut
+    @given(
+        st.lists(st.tuples(_FLOAT_TOKENS, st.sampled_from([" ", "\n"])), min_size=1, max_size=16)
+        .map(lambda pairs: "".join(tok + sep for tok, sep in pairs)),
+        st.one_of(st.integers(1, 8), st.integers(1, 2**10)),
+    )
+    @example("3 nan 1 2", 1)  # the nan is named wherever it sorts, past the cut too
+    @example("5 -2 1 inf", 1)  # the negative value is named, not the inf after it
+    @example("1e308 1e308 5e-324 1e308", 3)  # past the float range, the exact sums still order
+    @example("0.30000000000000004 0.2 0.1 1", 3)  # the exact 0.1 + 0.2 lies below the third
+    def test_float_cut_matches_the_full_load(self, text, k):
+        full = _outcome(lambda: load_input(text, "float").values)
+        cut = _outcome(lambda: load_input(text, "float", keep=k).values)
+        if not isinstance(full, list):  # the same class and message
+            assert cut == full
+            return
+        assert isinstance(cut, list) and cut == full[: len(cut)]
+        full, cut = load_input(text, "float"), load_input(text, "float", keep=k)
+        for variant in Variant:
+            want_records, want = _run(full, k, variant)
+            got_records, got = _run(cut, k, variant)
+            assert _answers(got_records, variant) == _answers(want_records, variant), variant
+            assert got == want, variant
 
     def test_keep_must_be_positive(self):
         with pytest.raises(ValueError, match="keep"):

@@ -39,8 +39,11 @@ first of these that holds:
 
 When a perfbench run fails, the runs before it are still written to OUT,
 the failed side, workload and seed are printed to stderr, and the exit
-status is 1, with no summary.  The worktree is removed on exit; nothing
-is written under ``perfbench/``.
+status is 1, with no summary.  A run fails when ``run.py`` exits non-zero,
+or when its ``record.json`` lists ``problems``: its checker found wrong
+answers, which ``run.py`` reports with exit status 0; the first problem is
+printed.  The worktree is removed on exit; nothing is written under
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+class WrongAnswers(Exception):
+    """A perfbench run whose checker found wrong answers; the message is the first."""
+
+
 def run_side(side: str, root: str, workload: str, seed: int, seconds: int) -> dict:
     print(f"{side} {workload} seed={seed}", file=sys.stderr, flush=True)
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
@@ -70,6 +77,8 @@ def run_side(side: str, root: str, workload: str, seed: int, seconds: int) -> di
     path = os.path.join(root, ".perfbench_work", f"{workload}-trace0", "record.json")
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
+    if record.get("problems"):
+        raise WrongAnswers(f"wrong answers, the first: {record['problems'][0]}")
     record.pop("executable", None)
     record["module"] = os.path.relpath(record["module"], root)
     if side == "change" and git("status", "--porcelain", "--", "src"):
@@ -154,7 +163,7 @@ def main(argv: list) -> int:
                 try:
                     entries.append({**run_side(side, root, workload, seed, spec["run_seconds"]),
                                     "src_lines": lines[side]})
-                except subprocess.CalledProcessError as exc:
+                except (subprocess.CalledProcessError, WrongAnswers) as exc:
                     failed = f"{side} {workload} seed={seed} failed: {exc}"
                     break
         finally:
