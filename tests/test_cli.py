@@ -331,6 +331,21 @@ class TestWritePath:
 
     K = 2_500  # two whole batches and a short last one
 
+    @pytest.mark.parametrize("algo, output, mode", [
+        *((algo, output, "int") for algo in ALGOS for output in ("sums", "subsets")),
+        ("compact", "deltas", "int"),
+        *((algo, "subsets", "float") for algo in ALGOS),
+    ], ids="-".join)
+    def test_bytes_match_the_library_records(self, monkeypatch, algo, output, mode):
+        text = _values_text(mode)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdout", stdout := _Recorder())
+        assert main(["topk", "--k", str(self.K), "--algo", algo, "--output", output,
+                     "--mode", mode]) == 0
+        want = _library_lines(text, self.K, algo, output, mode)
+        assert len(want) == self.K
+        assert "".join(stdout.writes) == "".join(want)
+
     def test_one_write_per_batch(self, monkeypatch):
         # the clock stands still, so only the batch size starts a write
         monkeypatch.setattr(cli, "monotonic", lambda: 0.0)
@@ -426,26 +441,19 @@ class TestForkedWalk:
     @pytest.mark.parametrize("paced", [False, True], ids=["full", "paced"])
     @pytest.mark.parametrize("mode", ["int", "float"])
     @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
-    def test_forked_and_in_process_runs_match(self, monkeypatch, algo, output, mode, paced):
+    def test_forked_and_in_process_runs_match(self, algo, output, mode, paced):
         # a paced clock moves 1/64 s per reading, so batches close by _WAIT_S
         # after four records; the same readings in either process.  A still
         # clock closes them by size alone: under the real one, a full collection
         # of the test process's heap (40-50 ms) can close a batch early.
         argv = ["topk", "--k", str(self.K), "--algo", algo, "--output", output, "--mode", mode]
         text = _values_text(mode)
-        want = _library_lines(text, self.K, algo, output, mode)
-        if not paced:  # the CLI's walk sends fields built from its nodes, and builds no record
-            def refuse(rank, node):
-                raise AssertionError("the CLI's walk built a record")
-
-            for name in ("delta_record", "bitvec_record", "_positions_record"):
-                monkeypatch.setattr(enumerators, name, refuse)
         runs = [self.run(argv, text, forked, itertools.count(0, 1 / 64).__next__ if paced
                          else lambda: 0.0) for forked in (True, False)]
         assert runs[0] == runs[1]
         code, writes, _ = runs[0]
-        assert code == 0 and len(want) == self.K
-        assert "".join(writes) == "".join(want)
+        assert code == 0
+        assert "".join(writes) == "".join(_library_lines(text, self.K, algo, output, mode))
         sizes = [w.count("\n") for w in writes]
         assert sizes == ([1024, 1024, 452] if not paced else [4] * (self.K // 4))
 
@@ -483,6 +491,24 @@ class TestForkedWalk:
         totals = [item.total for item in topk(load_input(self.DIFF_INPUTS["gen_float"], "float"),
                                                self.K)[0]]
         assert totals.count(float("inf")) > 0 and 0 < totals[0] < 2.3e-308
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
+    def test_the_walk_builds_no_record(self, monkeypatch, algo, output, mode, forked):
+        text = _values_text(mode)
+        want = _library_lines(text, self.K, algo, output, mode)
+
+        def refuse(rank, node):
+            raise AssertionError("the CLI's walk built a record")
+
+        for name in ("delta_record", "bitvec_record", "_positions_record"):
+            monkeypatch.setattr(enumerators, name, refuse)
+        argv = ["topk", "--k", str(self.K), "--algo", algo, "--output", output, "--mode", mode]
+        code, writes, _ = self.run(argv, text, forked)
+        assert code == 0
+        assert "".join(writes) == "".join(want)
+        assert not hasattr(cli, "_FIELDS")
 
     @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
     def test_a_wide_float_input_is_cut(self, forked):
