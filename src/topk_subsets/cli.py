@@ -1,8 +1,9 @@
 """Command-line surface: query, verify, benchmark, and DAG export.
 
 Exit codes: 0 success (including a truncated answer, which adds a notice
-on stderr), 1 a ``topk`` walk that failed in its forked process, 2 bad
-flags or an output file that cannot be written, 3 unusable input data.
+on stderr), 1 a ``topk`` walk or load helper that failed in its forked
+process, 2 bad flags or an output file that cannot be written, 3 unusable
+input data.
 Every subcommand exits 141 (128 + SIGPIPE, what a shell reports for a
 filter killed by a closed pipe) without a traceback when its stdout is
 closed before the last line, as in ``topk ... | head``, or at start, when
@@ -16,14 +17,15 @@ import dataclasses
 import io
 import marshal
 import os
+import stat
 import sys
-from contextlib import closing, nullcontext, suppress
+from contextlib import closing, contextmanager, nullcontext, suppress
 from functools import partial
 from itertools import product
 from time import monotonic
 from typing import IO, Callable, Iterator, Sequence
 
-from .core import InputError, _replayer, load_input
+from .core import InputError, _load_values, _replayer, load_input
 from .enumerators import RunMetrics, Variant, topk
 from .shifts import final_dag_report, pattern_text, walk_final_dag
 
@@ -35,6 +37,11 @@ _ALGOS = [v.value for v in Variant]
 # passed since the last one, so a slow stream shows promptly; each is one write and flush
 _BATCH = 1024
 _WAIT_S = 0.05
+
+# an int --input file of at least _SPLIT bytes loads in two halves at once, the second in
+# a forked helper.  At --k 1 the split lost 9% on 0.34 MB (5*10**4 values) and won 4% on
+# 0.52 MB and 8% on 0.69 MB; the largest perfbench input below it is 20 KB
+_SPLIT = 1 << 19
 
 
 def _positive_int(text: str) -> int:
@@ -121,18 +128,97 @@ def _write_file(path: str, text: str) -> bool:
 
 
 class _Counted(io.RawIOBase):
-    """A binary source that counts the bytes read from it."""
+    """A binary source that counts the bytes read from it, and reads ``stop`` at most.
 
-    def __init__(self, binary: IO[bytes]) -> None:
-        self.binary, self.count = binary, 0
+    ``binary`` is a binary stream, read where it stands, or a file descriptor, read
+    from byte ``start`` by ``os.pread``, which moves no file offset: a forked load
+    helper shares the offset of its parent's file.
+    """
+
+    def __init__(self, binary: "IO[bytes] | int", start: int = 0,
+                 stop: "int | None" = None) -> None:
+        self.binary, self.start, self.stop, self.count = binary, start, stop, 0
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        n = self.binary.readinto(buffer)
+        if self.stop is not None:
+            buffer = memoryview(buffer)[: self.stop - self.count]
+        if isinstance(self.binary, int):
+            data = os.pread(self.binary, len(buffer), self.start + self.count)
+            n = len(data)
+            buffer[:n] = data
+        else:
+            n = self.binary.readinto(buffer)
         self.count += n
         return n
+
+
+def _decode_failure(exc: UnicodeDecodeError, counted: _Counted) -> str:
+    """The message of a decode error, naming its offset in the input."""
+    # the decoder's chunk ends at the last byte read
+    at, width = counted.start + counted.count - len(exc.object) + exc.start, exc.end - exc.start
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
+             else f"bytes in position {at}-{at + width - 1}")
+    return (f"cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
+            f"{where}: {exc.reason}")
+
+
+class _Unreadable(Exception):
+    """The load helper's half could not be read or decoded: the message is for stderr."""
+
+
+def _load_rest(fd: int, start: int, keep: int) -> Iterator:
+    """The load helper's one frame: the int ``_load_values`` triple of the file
+    from byte ``start``, and its first fault, None or (unreadable, message)."""
+    counted = _Counted(fd, start)
+    try:
+        values, n, top = _load_values(io.TextIOWrapper(counted, encoding="utf-8"), int, keep)
+    except InputError as exc:  # a bad token
+        yield [], 0, 0, (False, str(exc))
+    except UnicodeDecodeError as exc:
+        yield [], 0, 0, (True, _decode_failure(exc, counted))
+    except OSError as exc:
+        yield [], 0, 0, (True, f"cannot read input: {exc}")
+    else:
+        yield values, n, top, None
+
+
+def _rest_result(frames: Iterator) -> tuple:
+    """The load helper's triple, or its fault raised: ``load_input``'s ``_rest``."""
+    (values, n, top, fault), = frames  # read to its end, which reaps the helper
+    if fault is not None:
+        unreadable, message = fault
+        raise (_Unreadable if unreadable else InputError)(message)
+    return values, n, top
+
+
+@contextmanager
+def _load_helper(fh: IO[bytes], args: argparse.Namespace) -> Iterator:
+    """(split, rest): where the first half of ``fh`` stops and ``load_input``'s
+    ``_rest``, whose load runs meanwhile in a forked helper; on the way out the
+    helper is reaped, killed first if it is still running.
+
+    An int ``--input`` regular file of at least ``_SPLIT`` bytes splits just past
+    the first ``"\\n"`` at or after half its bytes: a ``"\\n"`` ends every token and
+    comment and is never part of a UTF-8 sequence.  Stdin, float mode, smaller
+    files and a line that runs on for a whole block there load whole: (None, None).
+    """
+    split = None
+    if args.input != "-" and args.mode == "int":
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT:
+            half = info.st_size // 2
+            fh.seek(half)
+            at = fh.read(1 << 16).find(b"\n")
+            fh.seek(0)
+            split = None if at < 0 else half + at + 1
+    if split is None:
+        yield None, None
+        return
+    with closing(_forked(partial(_load_rest, fh.fileno(), split, args.k))) as frames:
+        yield split, partial(_rest_result, frames)
 
 
 def _walk(r, args: argparse.Namespace) -> Iterator:
@@ -149,17 +235,18 @@ def _walk(r, args: argparse.Namespace) -> Iterator:
     yield dataclasses.astuple(metrics)
 
 
-class _WalkFailed(Exception):
-    """The forked walk raised, or its process ended before its last frame."""
+class _ChildFailed(Exception):
+    """The forked process raised, or it ended before its last frame."""
 
 
 def _forked(frames: Callable[[], Iterator]) -> Iterator:
-    """The frames of ``frames()``, run in a forked process and sent through a pipe.
+    """The frames of ``frames()``, run in a process forked now and sent through a pipe.
 
-    Each frame is a 4-byte little-endian length and a ``marshal`` payload; a
-    str payload is the walker's traceback.  Every way out of this generator,
-    ``close()`` included, reaps the walker: it kills it first unless it
-    reported its last frame and ended.  Without a working ``os.fork`` the walk runs here.
+    The last frame is a tuple.  Each frame is a 4-byte little-endian length and a
+    ``marshal`` payload; a str payload is the child's traceback.  Every way out of
+    the returned generator, ``close()`` included, reaps the child: it kills it first
+    unless it reported its last frame and ended.  Without a working ``os.fork``,
+    ``frames()`` runs here, as the frames are taken.
     """
     read_end, write_end = os.pipe()
     try:
@@ -167,9 +254,8 @@ def _forked(frames: Callable[[], Iterator]) -> Iterator:
     except (AttributeError, OSError):  # no os.fork, or no process to spare
         os.close(read_end)
         os.close(write_end)
-        yield from frames()
-        return
-    if pid == 0:  # the walker leaves by os._exit alone: it never returns into the
+        return frames()
+    if pid == 0:  # the child leaves by os._exit alone: it never returns into the
         code = 1  # caller, nor flushes the stdout buffer it inherited
         try:
             os.close(read_end)
@@ -188,9 +274,21 @@ def _forked(frames: Callable[[], Iterator]) -> Iterator:
         finally:
             os._exit(code)
     os.close(write_end)
+    received = _received(pid, read_end)
+    next(received)
+    return received
+
+
+def _received(pid: int, read_end: int) -> Iterator:
+    """The frames that child ``pid`` sends to ``read_end``.
+
+    A None comes first, which ``_forked`` takes: from then on ``close()`` runs the
+    ``finally`` that reaps the child.
+    """
     reaped = done = False
     try:
         with open(read_end, "rb") as pipe:
+            yield None
             while len(head := pipe.read(4)) == 4:
                 size = int.from_bytes(head, "little")
                 data = pipe.read(size)
@@ -198,7 +296,7 @@ def _forked(frames: Callable[[], Iterator]) -> Iterator:
                     break
                 frame = marshal.loads(data)
                 if isinstance(frame, str):
-                    raise _WalkFailed(frame.rstrip("\n"))
+                    raise _ChildFailed(frame.rstrip("\n"))
                 done = isinstance(frame, tuple)
                 yield frame
         status = os.waitpid(pid, 0)[1]
@@ -206,7 +304,7 @@ def _forked(frames: Callable[[], Iterator]) -> Iterator:
         if not done:
             code = os.waitstatus_to_exitcode(status)
             how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
-            raise _WalkFailed(f"its process ended {how} before its last frame")
+            raise _ChildFailed(f"its process ended {how} before its last frame")
     finally:
         if not reaped:
             from signal import SIGKILL  # only an early exit pays for the module
@@ -225,25 +323,24 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             r = load_input(sys.stdin, args.mode, keep=args.k)
         else:  # the bytes, decoded as open() decodes a file, and counted
             binary = open(args.input, "rb") if args.input != "-" else nullcontext(sys.stdin.buffer)
-            with binary as fh, _Counted(fh) as counted:
-                r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode, keep=args.k)
+            with (binary as fh, _load_helper(fh, args) as (split, rest),
+                  _Counted(fh, stop=split) as counted):
+                r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode,
+                               keep=args.k, _rest=rest)
     except OSError as exc:
         _warn(f"error: cannot read input: {exc}")
         return 3
     except UnicodeDecodeError as exc:
-        if counted is None:  # a text stand-in for stdin: no bytes were counted
-            _warn(f"error: cannot decode input: {exc}")
-            return 3
-        # name the offset in the input: the decoder's chunk ends at the last byte read
-        at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
-        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
-                 else f"bytes in position {at}-{at + width - 1}")
-        _warn(f"error: cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
-              f"{where}: {exc.reason}")
+        # a text stand-in for stdin decodes for itself: no bytes were counted
+        _warn(f"error: cannot decode input: {exc}" if counted is None
+              else f"error: {_decode_failure(exc, counted)}")
         return 3
-    except InputError as exc:
+    except (InputError, _Unreadable) as exc:
         _warn(f"error: {exc}")
         return 3
+    except _ChildFailed as exc:
+        _warn(f"error: the load helper failed: {exc}")
+        return 1
 
     # a fork adds 4-5 ms, 7% of a --k 1 run on 10**3 values: k <= _BATCH walks here
     walk = partial(_walk, r, args)
@@ -275,7 +372,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 rank += len(frame)
                 out.write("".join(lines))
                 out.flush()
-    except _WalkFailed as exc:
+    except _ChildFailed as exc:
         _warn(f"error: the walk failed: {exc}")
         return 1
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -156,7 +157,8 @@ _BLOCK = 1 << 16
 
 
 def load_input(
-    source: Union[str, IO[str]], mode: str = "int", keep: "int | None" = None
+    source: Union[str, IO[str]], mode: str = "int", keep: "int | None" = None,
+    _rest: "Callable[[], tuple[list, int, int]] | None" = None,
 ) -> InputSet:
     """Parse whitespace-separated numbers into a sorted :class:`InputSet`.
 
@@ -173,50 +175,33 @@ def load_input(
     prefix of the exact values is kept, m+1 values with m the number of
     values <= B = min(v_k, v_1+...+v_j), j = ``k.bit_length()``, so verdicts
     and messages do not depend on ``keep``.  The sum term can cut even when
-    k >= n.  An int load also cuts while it reads: adding values can only
-    lower B, so once the values read so far can be cut, their (m+1)-th value
-    is a limit that no value of the final prefix exceeds, and each later
-    block keeps only the values up to it.  The kept values are sorted and
-    cut again whenever their number doubles, so the sorts stay O(n log n)
-    when nothing can be cut, and memory follows the kept values plus one
-    block.  Each token is still parsed, the 63-bit guard takes the n and
-    maximum of every value, and the sign check's minimum is never cut.  A
-    float load keeps every value until the checks see each ``inf`` and ``nan``.
+    k >= n.  An int load also cuts while it reads (see :func:`_load_values`).
 
-    The source is taken ``_BLOCK`` characters at a time: a string is
-    sliced, not wrapped in a stream, so it is never copied whole, and a
-    stream is read.  Each block is cut after its last ``\\n``, which ends
-    every comment and every token; the rest is carried into the next
-    block, and a long text with no ``\\n`` is carried whole.  After a bad
-    token the rest of the blocks are still taken, so a read or decode error
-    later in the input is raised in its place, as with a single ``read()``.
+    ``_rest``, private to the ``topk`` CLI, splits an int load at a ``\\n``:
+    ``source`` is the input up to and including it, and ``_rest()`` returns
+    the :func:`_load_values` triple of the rest, loaded with the same
+    ``keep`` (by another process), or raises its first fault.  The verdict
+    is the whole input's: a read or decode error in ``source`` wins, then
+    one in the rest, then the first bad token; the kept values are merged,
+    and the checks below take the summed n and the larger maximum.  Each
+    part's cut keeps every value the whole input's cut keeps: adding values
+    only lowers B, and the whole input's (m+1)-th value is either at most a
+    part's B or that part's own (m+1)-th value.
     """
     if keep is not None and keep < 1:
         raise ValueError("keep must be >= 1")
-    parse = int if mode == "int" else float
-    # a last "\n" ends the carried tail, so the loop parses it too
-    blocks = chain((source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
-                   if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""), ("\n",))
-    values: list[Number] = []
-    n = top = 0
-    tail, limit, cut_at = "", None, 1 if keep is not None and mode == "int" else math.inf
-    for block in blocks:
-        end = block.rfind("\n") + 1  # 0: no "\n", the whole block is carried
-        if not end:
-            tail += block
-            continue
-        new = _parse(parse, tail + block[:end], blocks)
-        tail = block[end:]
-        n += len(new)
-        top = max(top, max(new, default=top))
-        values.extend(new if limit is None else filter(limit.__ge__, new))
-        if len(values) >= cut_at:
-            values.sort()
-            width = answer_width(values, keep)
-            if width <= len(values):
-                del values[width:]
-                limit = values[-1]
-            cut_at = 2 * len(values)
+    try:
+        values, n, top = _load_values(source, int if mode == "int" else float,
+                                      keep if mode == "int" else None)
+    except InputError:  # a bad token: a read or decode error in the rest still wins
+        if _rest is not None:
+            with suppress(InputError):
+                _rest()
+        raise
+    if _rest is not None:
+        more, more_n, more_top = _rest()
+        values += more
+        n, top = n + more_n, max(top, more_top)
     if not n:
         raise InputError("empty input: no values found")
     values.sort()
@@ -226,6 +211,54 @@ def load_input(
     if keep is not None and (width := answer_width(r.exact, keep)) <= r.n:
         r = InputSet(r.values[:width], mode)
     return r
+
+
+def _load_values(source: Union[str, IO[str]], parse, keep: "int | None") -> tuple[list, int, int]:
+    """The block loop of :func:`load_input`: (kept values, their count n, their maximum).
+
+    The source is taken ``_BLOCK`` characters at a time: a string is
+    sliced, not wrapped in a stream, so it is never copied whole, and a
+    stream is read.  Each block is cut after its last ``\\n``, which ends
+    every comment and every token; the rest is carried into the next
+    block, and a long text with no ``\\n`` is carried whole.  After a bad
+    token the rest of the blocks are still taken, so a read or decode error
+    later in the input is raised in its place, as with a single ``read()``.
+
+    n counts every value read, and the maximum takes them all (0 for none).
+    Given ``keep``, the values are cut while they are read: adding values
+    can only lower B, so once the values read so far can be cut, their
+    (m+1)-th value is a limit that no value of the final prefix exceeds,
+    and each later block keeps only the values up to it.  The kept values
+    are sorted and cut again whenever their number doubles, so the sorts
+    stay O(n log n) when nothing can be cut, and memory follows the kept
+    values plus one block.  The minimum is never cut.  ``load_input``
+    passes no ``keep`` in float mode, whose checks must see each ``inf``
+    and ``nan``.
+    """
+    # a last "\n" ends the carried tail, so the loop parses it too
+    blocks = chain((source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
+                   if isinstance(source, str) else iter(partial(source.read, _BLOCK), ""), ("\n",))
+    values: list[Number] = []
+    n = top = 0
+    tail, limit, cut_at = "", None, 1 if keep is not None else math.inf
+    for block in blocks:
+        end = block.rfind("\n") + 1  # 0: no "\n", the whole block is carried
+        if not end:
+            tail += block
+            continue
+        new = _parse(parse, tail + block[:end], blocks)
+        tail = block[end:]
+        n += len(new)
+        top = max(top, max(new, default=top))
+        values.extend(new if limit is None else [v for v in new if v <= limit])
+        if len(values) >= cut_at:
+            values.sort()
+            width = answer_width(values, keep)
+            if width <= len(values):
+                del values[width:]
+                limit = values[-1]
+            cut_at = 2 * len(values)
+    return values, n, top
 
 
 def _parse(parse, text: str, rest: Iterator[str]) -> list:

@@ -613,6 +613,142 @@ class TestForkedWalk:
         assert not metrics.exists()
 
 
+def _lines_of(count, seed):
+    """count ints in [1, 1000], one per line, some lines CRLF and some commented."""
+    stream = splitmix64_stream(seed)
+    return "".join(f"{1 + next(stream) % 1000}" + ("\r\n", "\n", " # c\n")[i % 3]
+                   for i in range(count)).encode()
+
+
+class TestSplitLoad:
+    """An int --input file of at least _SPLIT bytes loads its second half in a forked helper."""
+
+    DATA = _lines_of(3000, 11)  # 21 KB, more than the largest perfbench input
+
+    def run(self, capsys, argv, split=None, fork=True):
+        """main(argv), _SPLIT set to ``split``: code, stdout, stderr, metrics, the forks made.
+
+        ``fork`` False takes os.fork away; "fails" makes it raise.  Metrics are
+        None when the run wrote none, and lose their elapsed_ns line.
+        """
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            if split is not None:
+                mp.setattr(cli, "_SPLIT", split)
+            forks = None
+            if fork == "fails":
+                mp.setattr(os, "fork", TestForkedWalk.failing_fork)
+            elif fork:
+                forks = _fork_count(mp)
+            else:
+                mp.delattr(os, "fork")
+            metrics = os.path.join(tmp, "metrics.txt")
+            code = main(argv + ["--metrics", metrics])
+            lines = None
+            if os.path.exists(metrics):
+                with open(metrics, encoding="ascii") as fh:
+                    lines = [line for line in fh.read().splitlines()
+                             if not line.startswith("elapsed_ns=")]
+        out, err = capsys.readouterr()
+        assert _no_child_left()
+        return code, out, err, lines, forks
+
+    @staticmethod
+    def argv(tmp_path, data, *flags):
+        path = tmp_path / "values.txt"
+        path.write_bytes(data)
+        return ["topk", "--input", str(path), *flags]
+
+    @pytest.mark.parametrize("k", [5, TestForkedWalk.K])
+    @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
+    def test_a_large_file_loads_in_two_processes(self, tmp_path, capsys, algo, output, k):
+        argv = self.argv(tmp_path, self.DATA, "--k", str(k), "--algo", algo, "--output", output)
+        *split, forks = self.run(capsys, argv, split=1)
+        *whole, whole_forks = self.run(capsys, argv, split=len(self.DATA) + 1)
+        walker = [1] if k > cli._BATCH else []
+        assert (forks, whole_forks) == ([1] + walker, walker)
+        assert split == whole
+        text = self.DATA.decode()
+        assert split[:3] == [0, "".join(_library_lines(text, k, algo, output, "int")), ""]
+
+    @pytest.mark.parametrize("route", ["small-file", "stdin", "float", "long-line"])
+    def test_only_a_large_int_file_forks_a_helper(self, tmp_path, capsys, monkeypatch, route):
+        # a line that runs on for more than a block past half the bytes has no split point
+        data = b"1 " * 100_000 + b"\n" if route == "long-line" else self.DATA
+        argv = self.argv(tmp_path, data, "--k", "5")
+        split = 1
+        if route == "small-file":
+            split = None  # the module's own threshold
+        elif route == "stdin":
+            argv[2] = "-"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.DATA)))
+        else:
+            argv += ["--mode", "float"]
+        code, out, err, _, forks = self.run(capsys, argv, split)
+        assert (code, err, forks) == (0, "", [])
+        assert out.count("\n") == 5
+
+    @pytest.mark.parametrize("fork", [False, "fails"], ids=["no-fork", "fork-fails"])
+    def test_without_a_working_fork_both_halves_load_here(self, tmp_path, capsys, fork):
+        argv = self.argv(tmp_path, self.DATA, "--k", str(TestForkedWalk.K), "--output", "subsets")
+        assert self.run(capsys, argv, 1, fork)[:4] == self.run(capsys, argv, 1)[:4]
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_a_failed_helper_fails_the_run(self, tmp_path, capsys, monkeypatch, how):
+        test_pid = os.getpid()
+
+        def fail(*args):
+            assert os.getpid() != test_pid, "the helper ran in the test's own process"
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the helper broke")
+
+        monkeypatch.setattr(cli, "_load_values", fail)  # the helper's, not the parent's
+        code, out, err, metrics, forks = self.run(capsys, self.argv(tmp_path, self.DATA, "--k", "5"), 1)
+        assert (code, out, metrics, forks) == (1, "", None, [1])
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            err.splitlines()[0]]
+        if how == "killed":
+            assert err == (f"error: the load helper failed: its process ended by signal "
+                           f"{signal.SIGKILL.value} before its last frame\n")
+        else:
+            assert err.startswith("error: the load helper failed: Traceback")
+            assert err.endswith("RuntimeError: the helper broke\n")
+
+    @pytest.mark.parametrize("data", [
+        b"1\n" * 150_000 + b"\xff\n",
+        b"1\n" * 150_000 + b"\xe2\x82(\n",
+        b"1\n" * 150_000 + b"\xe2\x82",  # the end of the file cuts the sequence short
+        b"1\n" * 50_000 + b"\xff\n" + b"1\n" * 100_000,  # in the first half
+        b"x\n" + b"1\n" * 150_000 + b"\xff\n",  # a later decode error wins over a bad token
+    ], ids=["start-byte", "continuation", "end-of-data", "first-half", "after-a-bad-token"])
+    def test_a_bad_byte_names_its_offset_in_the_file(self, tmp_path, capsys, data):
+        # far past the decoder's first chunk in either half, whose own position would be named
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        argv = self.argv(tmp_path, data, "--k", "2")
+        *split, forks = self.run(capsys, argv, split=1)
+        assert forks == [1]
+        assert split == [3, "", f"error: cannot decode input as UTF-8: {exc.value}\n", None]
+        assert list(self.run(capsys, argv, split=len(data) + 1)[:4]) == split
+
+    @pytest.mark.parametrize("first, second, error", [
+        ("1 x", "2 y", "unparseable token 'x'"),
+        ("1 2", "3 y", "unparseable token 'y'"),
+        ("3 -1", "-2 5", "negative value -2 not allowed"),
+        # the rest's maximum is past its cut
+        ("1", f"5 6 {2**62}", "n * max(values) = 18446744073709551616 exceeds the signed 64-bit range"),
+        ("# c", "", "empty input: no values found"),
+    ], ids=["bad-token-first", "bad-token-second", "negative", "overflow", "empty"])
+    def test_verdicts_match_the_whole_load(self, tmp_path, capsys, first, second, error):
+        # the first line, padded past half the bytes, is the first half
+        data = f"{first.ljust(len(second) + 2)}\n{second}\n".encode()
+        argv = self.argv(tmp_path, data, "--k", "1")
+        *split, forks = self.run(capsys, argv, split=1)
+        assert forks == [1]
+        assert split == [3, "", f"error: {error}\n", None]
+        assert list(self.run(capsys, argv, split=len(data) + 1)[:4]) == split
+
+
 class TestFlagErrors:
     """Misuse of the flag surface is exit code 2, before any work happens."""
 
