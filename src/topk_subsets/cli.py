@@ -1,9 +1,8 @@
 """Command-line surface: query, verify, benchmark, and DAG export.
 
 Exit codes: 0 success (including a truncated answer, which adds a notice
-on stderr), 1 a ``topk`` walk or load helper that failed in its forked
-process, 2 bad flags or an output file that cannot be written, 3 unusable
-input data.
+on stderr), 1 a ``topk`` walk that failed in its forked process, 2 bad flags
+or an output file that cannot be written, 3 unusable input data.
 Every subcommand exits 141 (128 + SIGPIPE, what a shell reports for a
 filter killed by a closed pipe) without a traceback when its stdout is
 closed before the last line, as in ``topk ... | head``, or at start, when
@@ -19,7 +18,7 @@ import marshal
 import os
 import stat
 import sys
-from contextlib import closing, contextmanager, nullcontext, suppress
+from contextlib import closing, nullcontext, suppress
 from functools import partial
 from itertools import product
 from time import monotonic
@@ -132,7 +131,9 @@ class _Counted(io.RawIOBase):
 
     ``binary`` is a binary stream, read where it stands, or a file descriptor, read
     from byte ``start`` by ``os.pread``, which moves no file offset: a forked load
-    helper shares the offset of its parent's file.
+    helper shares the offset of its parent's file.  The count names a decode
+    error's offset in a whole load, which starts at byte 0; a split load that
+    fails is loaded whole again for its message.
     """
 
     def __init__(self, binary: "IO[bytes] | int", start: int = 0,
@@ -158,67 +159,37 @@ class _Counted(io.RawIOBase):
 def _decode_failure(exc: UnicodeDecodeError, counted: _Counted) -> str:
     """The message of a decode error, naming its offset in the input."""
     # the decoder's chunk ends at the last byte read
-    at, width = counted.start + counted.count - len(exc.object) + exc.start, exc.end - exc.start
+    at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
     where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
              else f"bytes in position {at}-{at + width - 1}")
     return (f"cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
             f"{where}: {exc.reason}")
 
 
-class _Unreadable(Exception):
-    """The load helper's half could not be read or decoded: the message is for stderr."""
-
-
 def _load_rest(fd: int, start: int, keep: int) -> Iterator:
-    """The load helper's one frame: the int ``_load_values`` triple of the file
-    from byte ``start``, and its first fault, None or (unreadable, message)."""
-    counted = _Counted(fd, start)
-    try:
-        values, n, top = _load_values(io.TextIOWrapper(counted, encoding="utf-8"), int, keep)
-    except InputError as exc:  # a bad token
-        yield [], 0, 0, (False, str(exc))
-    except UnicodeDecodeError as exc:
-        yield [], 0, 0, (True, _decode_failure(exc, counted))
-    except OSError as exc:
-        yield [], 0, 0, (True, f"cannot read input: {exc}")
-    else:
-        yield values, n, top, None
+    """The load helper's one frame: the int ``_load_values`` triple of the file from
+    byte ``start``."""
+    yield _load_values(io.TextIOWrapper(_Counted(fd, start), encoding="utf-8"), int, keep)
 
 
-def _rest_result(frames: Iterator) -> tuple:
-    """The load helper's triple, or its fault raised: ``load_input``'s ``_rest``."""
-    (values, n, top, fault), = frames  # read to its end, which reaps the helper
-    if fault is not None:
-        unreadable, message = fault
-        raise (_Unreadable if unreadable else InputError)(message)
-    return values, n, top
-
-
-@contextmanager
-def _load_helper(fh: IO[bytes], args: argparse.Namespace) -> Iterator:
-    """(split, rest): where the first half of ``fh`` stops and ``load_input``'s
-    ``_rest``, whose load runs meanwhile in a forked helper; on the way out the
-    helper is reaped, killed first if it is still running.
+def _split(fh: IO[bytes], args: argparse.Namespace) -> "int | None":
+    """Where the first half of ``fh`` stops when its second loads in a helper, or None.
 
     An int ``--input`` regular file of at least ``_SPLIT`` bytes splits just past
     the first ``"\\n"`` at or after half its bytes: a ``"\\n"`` ends every token and
     comment and is never part of a UTF-8 sequence.  Stdin, float mode, smaller
-    files and a line that runs on for a whole block there load whole: (None, None).
+    files and a line that runs on for a whole block there load whole.
     """
-    split = None
-    if args.input != "-" and args.mode == "int":
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT:
-            half = info.st_size // 2
-            fh.seek(half)
-            at = fh.read(1 << 16).find(b"\n")
-            fh.seek(0)
-            split = None if at < 0 else half + at + 1
-    if split is None:
-        yield None, None
-        return
-    with closing(_forked(partial(_load_rest, fh.fileno(), split, args.k))) as frames:
-        yield split, partial(_rest_result, frames)
+    if args.input == "-" or args.mode != "int":
+        return None
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT:
+        return None
+    half = info.st_size // 2
+    fh.seek(half)
+    at = fh.read(1 << 16).find(b"\n")
+    fh.seek(0)
+    return None if at < 0 else half + at + 1
 
 
 def _walk(r, args: argparse.Namespace) -> Iterator:
@@ -323,10 +294,22 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             r = load_input(sys.stdin, args.mode, keep=args.k)
         else:  # the bytes, decoded as open() decodes a file, and counted
             binary = open(args.input, "rb") if args.input != "-" else nullcontext(sys.stdin.buffer)
-            with (binary as fh, _load_helper(fh, args) as (split, rest),
-                  _Counted(fh, stop=split) as counted):
-                r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode,
-                               keep=args.k, _rest=rest)
+            with binary as fh:
+                r = None
+                if (split := _split(fh, args)) is not None:
+                    # a fault in either half, in their merge or in the helper: the whole
+                    # load below, from byte 0, gives the verdict and its message
+                    helper = partial(_load_rest, fh.fileno(), split, args.k)
+                    with (suppress(OSError, ValueError, _ChildFailed),
+                          closing(_forked(helper)) as rest):
+                        first = io.TextIOWrapper(_Counted(fh, stop=split), encoding="utf-8")
+                        # the helper's one frame, read to its end, which reaps the helper
+                        r = load_input(first, "int", keep=args.k, _rest=lambda: [*rest][0])
+                    fh.seek(0)
+                if r is None:
+                    counted = _Counted(fh)
+                    r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode,
+                                   keep=args.k)
     except OSError as exc:
         _warn(f"error: cannot read input: {exc}")
         return 3
@@ -335,12 +318,9 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _warn(f"error: cannot decode input: {exc}" if counted is None
               else f"error: {_decode_failure(exc, counted)}")
         return 3
-    except (InputError, _Unreadable) as exc:
+    except InputError as exc:
         _warn(f"error: {exc}")
         return 3
-    except _ChildFailed as exc:
-        _warn(f"error: the load helper failed: {exc}")
-        return 1
 
     # a fork adds 4-5 ms, 7% of a --k 1 run on 10**3 values: k <= _BATCH walks here
     walk = partial(_walk, r, args)

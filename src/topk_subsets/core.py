@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -180,24 +179,18 @@ def load_input(
     ``_rest``, private to the ``topk`` CLI, splits an int load at a ``\\n``:
     ``source`` is the input up to and including it, and ``_rest()`` returns
     the :func:`_load_values` triple of the rest, loaded with the same
-    ``keep`` (by another process), or raises its first fault.  The verdict
-    is the whole input's: a read or decode error in ``source`` wins, then
-    one in the rest, then the first bad token; the kept values are merged,
-    and the checks below take the summed n and the larger maximum.  Each
-    part's cut keeps every value the whole input's cut keeps: adding values
-    only lowers B, and the whole input's (m+1)-th value is either at most a
-    part's B or that part's own (m+1)-th value.
+    ``keep`` (by another process).  The kept values are merged, and the
+    checks below take the summed n and the larger maximum.  Each part's cut
+    keeps every value the whole input's cut keeps: adding values only lowers
+    B, and the whole input's (m+1)-th value is either at most a part's B or
+    that part's own (m+1)-th value.  A fault in either part is raised as
+    it comes, so its message need not be the whole input's: the CLI loads
+    the whole input again to word it.
     """
     if keep is not None and keep < 1:
         raise ValueError("keep must be >= 1")
-    try:
-        values, n, top = _load_values(source, int if mode == "int" else float,
-                                      keep if mode == "int" else None)
-    except InputError:  # a bad token: a read or decode error in the rest still wins
-        if _rest is not None:
-            with suppress(InputError):
-                _rest()
-        raise
+    values, n, top = _load_values(source, int if mode == "int" else float,
+                                  keep if mode == "int" else None)
     if _rest is not None:
         more, more_n, more_top = _rest()
         values += more

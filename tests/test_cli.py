@@ -13,7 +13,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import topk_subsets
@@ -620,25 +620,47 @@ def _lines_of(count, seed):
                    for i in range(count)).encode()
 
 
+# bad bytes: a lone 0xff, and a sequence that a "\n" or the end cuts short
+_SPLIT_PIECES = [b"0", b"1", b"2", b"7", b"-1", str(2**62).encode(), b"x", b"# c", b"#",
+                 b" ", b"\n", b"\n", b"\r\n", b"\r", b"\xff", b"\xe2\x82"]
+
+
+def _split_run(path, k, split):
+    """main() on --input path, split at byte ``split`` (None: whole), os.fork taken away:
+    code, stdout, stderr."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_split", lambda fh, args: split)
+        mp.delattr(os, "fork")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["topk", "--input", path, "--k", str(k)])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestSplitLoad:
     """An int --input file of at least _SPLIT bytes loads its second half in a forked helper."""
 
     DATA = _lines_of(3000, 11)  # 21 KB, more than the largest perfbench input
 
     def run(self, capsys, argv, split=None, fork=True):
-        """main(argv), _SPLIT set to ``split``: code, stdout, stderr, metrics, the forks made.
+        """main(argv), _SPLIT set to ``split``: code, stdout, stderr, metrics, calls.
 
         ``fork`` False takes os.fork away; "fails" makes it raise.  Metrics are
-        None when the run wrote none, and lose their elapsed_ns line.
+        None when the run wrote none, and lose their elapsed_ns line.  Calls are
+        "load" per call of cli.load_input and, when ``fork`` is True, "fork" per
+        call of os.fork, in order.
         """
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             if split is not None:
                 mp.setattr(cli, "_SPLIT", split)
-            forks = None
+            calls, real_load = [], cli.load_input
+            mp.setattr(cli, "load_input",
+                       lambda *a, **kw: calls.append("load") or real_load(*a, **kw))
             if fork == "fails":
                 mp.setattr(os, "fork", TestForkedWalk.failing_fork)
             elif fork:
-                forks = _fork_count(mp)
+                real_fork = os.fork
+                mp.setattr(os, "fork", lambda: calls.append("fork") or real_fork())
             else:
                 mp.delattr(os, "fork")
             metrics = os.path.join(tmp, "metrics.txt")
@@ -650,7 +672,7 @@ class TestSplitLoad:
                              if not line.startswith("elapsed_ns=")]
         out, err = capsys.readouterr()
         assert _no_child_left()
-        return code, out, err, lines, forks
+        return code, out, err, lines, calls
 
     @staticmethod
     def argv(tmp_path, data, *flags):
@@ -662,10 +684,11 @@ class TestSplitLoad:
     @pytest.mark.parametrize("algo, output", _CLI_RUNS, ids=[f"{a}-{o}" for a, o in _CLI_RUNS])
     def test_a_large_file_loads_in_two_processes(self, tmp_path, capsys, algo, output, k):
         argv = self.argv(tmp_path, self.DATA, "--k", str(k), "--algo", algo, "--output", output)
-        *split, forks = self.run(capsys, argv, split=1)
-        *whole, whole_forks = self.run(capsys, argv, split=len(self.DATA) + 1)
-        walker = [1] if k > cli._BATCH else []
-        assert (forks, whole_forks) == ([1] + walker, walker)
+        *split, calls = self.run(capsys, argv, split=1)
+        *whole, whole_calls = self.run(capsys, argv, split=len(self.DATA) + 1)
+        # one load each: a split load that passes is never redone
+        walker = ["fork"] if k > cli._BATCH else []
+        assert (calls, whole_calls) == (["fork", "load"] + walker, ["load"] + walker)
         assert split == whole
         text = self.DATA.decode()
         assert split[:3] == [0, "".join(_library_lines(text, k, algo, output, "int")), ""]
@@ -683,17 +706,20 @@ class TestSplitLoad:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.DATA)))
         else:
             argv += ["--mode", "float"]
-        code, out, err, _, forks = self.run(capsys, argv, split)
-        assert (code, err, forks) == (0, "", [])
+        code, out, err, _, calls = self.run(capsys, argv, split)
+        assert (code, err, calls) == (0, "", ["load"])
         assert out.count("\n") == 5
 
     @pytest.mark.parametrize("fork", [False, "fails"], ids=["no-fork", "fork-fails"])
     def test_without_a_working_fork_both_halves_load_here(self, tmp_path, capsys, fork):
         argv = self.argv(tmp_path, self.DATA, "--k", str(TestForkedWalk.K), "--output", "subsets")
-        assert self.run(capsys, argv, 1, fork)[:4] == self.run(capsys, argv, 1)[:4]
+        *run, calls = self.run(capsys, argv, 1, fork)
+        assert run == list(self.run(capsys, argv, 1)[:4])
+        assert calls == ["load"]
 
     @pytest.mark.parametrize("how", ["raises", "killed"])
-    def test_a_failed_helper_fails_the_run(self, tmp_path, capsys, monkeypatch, how):
+    def test_a_failed_helper_leaves_the_load_to_the_parent(self, tmp_path, capsys, monkeypatch,
+                                                         how):
         test_pid = os.getpid()
 
         def fail(*args):
@@ -702,17 +728,42 @@ class TestSplitLoad:
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("the helper broke")
 
+        argv = self.argv(tmp_path, self.DATA, "--k", "5")
+        want = self.run(capsys, argv, split=len(self.DATA) + 1)[:4]
         monkeypatch.setattr(cli, "_load_values", fail)  # the helper's, not the parent's
-        code, out, err, metrics, forks = self.run(capsys, self.argv(tmp_path, self.DATA, "--k", "5"), 1)
-        assert (code, out, metrics, forks) == (1, "", None, [1])
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            err.splitlines()[0]]
-        if how == "killed":
-            assert err == (f"error: the load helper failed: its process ended by signal "
-                           f"{signal.SIGKILL.value} before its last frame\n")
-        else:
-            assert err.startswith("error: the load helper failed: Traceback")
-            assert err.endswith("RuntimeError: the helper broke\n")
+        *run, calls = self.run(capsys, argv, split=1)
+        assert run == list(want) and want[0] == 0
+        assert calls == ["fork", "load", "load"]
+
+    @given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=24).map(b"".join),
+           st.one_of(st.none(), st.integers(1, 12)), st.sampled_from([2, 5, core._BLOCK]))
+    @example(b"1 x\n2 \xff\n", 1, core._BLOCK)  # a decode error in the rest wins
+    @example(b"1 \xff\n2 x\n", 1, core._BLOCK)  # the earlier decode error wins
+    @example(b"1 x\n2 \xe2\x82\n", 1, core._BLOCK)  # a sequence cut short by the "\n"
+    @example(b"\n\xe2\x82", None, 2)  # and by the end of the input
+    @example(b"3 x\n1 y\n", 1, core._BLOCK)  # the first bad token in input order
+    @example(b"3 1\nx\n", 1, core._BLOCK)  # a bad token in the rest alone
+    @example(b"3 -1\n-2 5\n", 1, core._BLOCK)  # the smaller of the two minimums
+    @example(b"-2 3\n-1\n", 1, core._BLOCK)
+    @example(b"1\n4611686018427387904\n", 1, core._BLOCK)  # the guard takes the summed n
+    @example(b"1\n5 6 4611686018427387904\n", 1, core._BLOCK)  # and a maximum the rest cut
+    @example(b"# c\n\n", 1, core._BLOCK)  # both halves empty
+    @example(b"# c\n5\n", 1, core._BLOCK)  # a comment-only half, then values
+    @example(b"5\n# c\n", 1, core._BLOCK)
+    @example(b"7\r\n2\r\n2\r\n1\r\n", 1, core._BLOCK)  # CRLF
+    @example(b"7\n7\n2\n2\n1\n0\n5\n9\n", 1, 2)  # both halves cut while they read
+    def test_every_cut_at_a_newline_matches_the_whole_load(self, data, k, block):
+        # k None: 4096 subsets, more than the at most 12 values here form, so nothing is cut
+        k = 4096 if k is None else k
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", block)
+            path = os.path.join(tmp, "values.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            whole = _split_run(path, k, None)
+            cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+            for cut in cuts:
+                assert _split_run(path, k, cut) == whole, cut
 
     @pytest.mark.parametrize("data", [
         b"1\n" * 150_000 + b"\xff\n",
@@ -726,25 +777,30 @@ class TestSplitLoad:
         with pytest.raises(UnicodeDecodeError) as exc:
             data.decode("utf-8")
         argv = self.argv(tmp_path, data, "--k", "2")
-        *split, forks = self.run(capsys, argv, split=1)
-        assert forks == [1]
+        *split, calls = self.run(capsys, argv, split=1)
+        assert calls == ["fork", "load", "load"]  # the split load, then the whole one
         assert split == [3, "", f"error: cannot decode input as UTF-8: {exc.value}\n", None]
         assert list(self.run(capsys, argv, split=len(data) + 1)[:4]) == split
 
     @pytest.mark.parametrize("first, second, error", [
         ("1 x", "2 y", "unparseable token 'x'"),
         ("1 2", "3 y", "unparseable token 'y'"),
+        # a decode error in the rest wins over a bad token before it
+        ("1 x", "2 \udcff", "cannot decode input as UTF-8: 'utf-8' codec can't decode byte 0xff "
+                            "in position 8: invalid start byte"),
         ("3 -1", "-2 5", "negative value -2 not allowed"),
         # the rest's maximum is past its cut
         ("1", f"5 6 {2**62}", "n * max(values) = 18446744073709551616 exceeds the signed 64-bit range"),
         ("# c", "", "empty input: no values found"),
-    ], ids=["bad-token-first", "bad-token-second", "negative", "overflow", "empty"])
+    ], ids=["bad-token-first", "bad-token-second", "bad-token-then-bad-byte", "negative",
+            "overflow", "empty"])
     def test_verdicts_match_the_whole_load(self, tmp_path, capsys, first, second, error):
-        # the first line, padded past half the bytes, is the first half
-        data = f"{first.ljust(len(second) + 2)}\n{second}\n".encode()
+        # the first line, padded past half the bytes, is the first half; a lone
+        # surrogate escapes a bad byte
+        data = f"{first.ljust(len(second) + 2)}\n{second}\n".encode(errors="surrogateescape")
         argv = self.argv(tmp_path, data, "--k", "1")
-        *split, forks = self.run(capsys, argv, split=1)
-        assert forks == [1]
+        *split, calls = self.run(capsys, argv, split=1)
+        assert calls == ["fork", "load", "load"]
         assert split == [3, "", f"error: {error}\n", None]
         assert list(self.run(capsys, argv, split=len(data) + 1)[:4]) == split
 

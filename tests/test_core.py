@@ -8,7 +8,7 @@ import tracemalloc
 from bisect import bisect_left, bisect_right
 from enum import IntEnum
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import pytest
 from hypothesis import example, given, settings
@@ -543,72 +543,14 @@ def _utf8(data: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
-def _load_outcome(load, end: "Callable[[], int]"):
-    """_outcome of load(), a decode error as its reason and its offset in the whole input.
-
-    end() is where the part being read ends in the whole input: a small part is
-    one chunk of the decoder, and a sequence the end cuts short is its last bytes.
-    """
-    try:
-        values = load().values
-    except UnicodeDecodeError as exc:
-        return UnicodeDecodeError, exc.reason, end() - len(exc.object) + exc.start
-    except Exception as exc:  # compared, not handled
-        return type(exc), str(exc)
-    return [(type(v), repr(v)) for v in values]
-
-
-def _whole_outcome(data: bytes, keep):
-    return _load_outcome(lambda: load_input(_utf8(data), keep=keep), lambda: len(data))
-
-
-def _split_outcome(data: bytes, cut: int, keep):
-    """The outcome of a load of data split at byte ``cut``, the rest loaded by _rest."""
-    end = [cut]
-
-    def rest():
-        end[0] = len(data)  # a decode error raised from here on is the rest's
-        return core._load_values(_utf8(data[cut:]), int, keep)
-
-    return _load_outcome(lambda: load_input(_utf8(data[:cut]), keep=keep, _rest=rest),
-                         lambda: end[0])
-
-
-# bad bytes: a lone 0xff, and a sequence that a "\n" or the end cuts short
-_SPLIT_PIECES = [b"0", b"1", b"2", b"7", b"-1", str(2**62).encode(), b"x", b"# c", b"#",
-                 b" ", b"\n", b"\n", b"\r\n", b"\r", b"\xff", b"\xe2\x82"]
-
-
 class TestSplitLoad:
-    """A load split at a "\\n", the rest loaded apart and merged, is the whole load."""
+    """A load split at a "\\n", the rest loaded apart and merged, is the whole load.
 
-    @given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=24).map(b"".join),
-           st.one_of(st.none(), st.integers(1, 12)), st.sampled_from([2, 5, core._BLOCK]))
-    @example(b"1 x\n2 \xff\n", 1, core._BLOCK)  # a decode error in the rest wins
-    @example(b"1 \xff\n2 x\n", 1, core._BLOCK)  # the earlier decode error wins
-    @example(b"1 x\n2 \xe2\x82\n", 1, core._BLOCK)  # a sequence cut short by the "\n"
-    @example(b"\n\xe2\x82", None, 2)  # and by the end of the input
-    @example(b"3 x\n1 y\n", 1, core._BLOCK)  # the first bad token in input order
-    @example(b"3 1\nx\n", 1, core._BLOCK)  # a bad token in the rest alone
-    @example(b"3 -1\n-2 5\n", 1, core._BLOCK)  # the smaller of the two minimums
-    @example(b"-2 3\n-1\n", 1, core._BLOCK)
-    @example(b"1\n4611686018427387904\n", 1, core._BLOCK)  # the guard takes the summed n
-    @example(b"1\n5 6 4611686018427387904\n", 1, core._BLOCK)  # and a maximum the rest cut
-    @example(b"# c\n\n", 1, core._BLOCK)  # both halves empty
-    @example(b"# c\n5\n", 1, core._BLOCK)  # a comment-only half, then values
-    @example(b"5\n# c\n", 1, core._BLOCK)
-    @example(b"7\r\n2\r\n2\r\n1\r\n", 1, core._BLOCK)  # CRLF
-    @example(b"7\n7\n2\n2\n1\n0\n5\n9\n", 1, 2)  # both halves cut while they read
-    def test_every_cut_at_a_newline_matches_the_whole_load(self, data, keep, block):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_BLOCK", block)
-            whole = _whole_outcome(data, keep)
-            cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-            for cut in cuts:
-                assert _split_outcome(data, cut, keep) == whole, cut
+    A fault in either part is raised as it comes; the CLI words it by a whole
+    load, which ``tests/test_cli.py``'s ``TestSplitLoad`` checks at every cut.
+    """
 
     @pytest.mark.parametrize("data, want", [
-        (b"1 x\n2 \xff\n", (UnicodeDecodeError, "invalid start byte", 6)),
         (b"3 x\n1 y\n", (InputError, "unparseable token 'x'")),
         (b"3 1\nx\n", (InputError, "unparseable token 'x'")),
         (b"3 -1\n-2 5\n", (NegativeValueError, "negative value -2 not allowed")),
@@ -620,8 +562,11 @@ class TestSplitLoad:
         (b"# c\n5\n", [(int, "5")]),
     ])
     def test_verdicts(self, data, want):
-        # the split after the first "\n"; the differential above checks the rest
-        assert _split_outcome(data, data.index(b"\n") + 1, 1) == want
+        # the split after the first "\n"
+        cut = data.index(b"\n") + 1
+        assert _outcome(lambda: load_input(
+            _utf8(data[:cut]), keep=1,
+            _rest=lambda: core._load_values(_utf8(data[cut:]), int, 1)).values) == want
 
     def test_the_rest_merges_cut_values(self):
         # each half keeps its own prefix; the merge cuts the union again
