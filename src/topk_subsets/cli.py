@@ -156,16 +156,6 @@ class _Counted(io.RawIOBase):
         return n
 
 
-def _decode_failure(exc: UnicodeDecodeError, counted: _Counted) -> str:
-    """The message of a decode error, naming its offset in the input."""
-    # the decoder's chunk ends at the last byte read
-    at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
-    where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
-             else f"bytes in position {at}-{at + width - 1}")
-    return (f"cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
-            f"{where}: {exc.reason}")
-
-
 def _load_rest(fd: int, start: int, keep: int) -> Iterator:
     """The load helper's one frame: the int ``_load_values`` triple of the file from
     byte ``start``."""
@@ -314,9 +304,15 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _warn(f"error: cannot read input: {exc}")
         return 3
     except UnicodeDecodeError as exc:
-        # a text stand-in for stdin decodes for itself: no bytes were counted
-        _warn(f"error: cannot decode input: {exc}" if counted is None
-              else f"error: {_decode_failure(exc, counted)}")
+        if counted is None:  # a text stand-in for stdin decodes for itself
+            _warn(f"error: cannot decode input: {exc}")
+            return 3
+        # the offset in the input: the decoder's chunk ends at the last byte read
+        at, width = counted.count - len(exc.object) + exc.start, exc.end - exc.start
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if width == 1
+                 else f"bytes in position {at}-{at + width - 1}")
+        _warn(f"error: cannot decode input as UTF-8: '{exc.encoding}' codec can't decode "
+              f"{where}: {exc.reason}")
         return 3
     except InputError as exc:
         _warn(f"error: {exc}")
