@@ -130,10 +130,10 @@ class _Counted(io.RawIOBase):
     """A binary source that counts the bytes read from it, and reads ``stop`` at most.
 
     ``binary`` is a binary stream, read where it stands, or a file descriptor, read
-    from byte ``start`` by ``os.pread``, which moves no file offset: a forked load
-    helper shares the offset of its parent's file.  The count names a decode
-    error's offset in a whole load, which starts at byte 0; a split load that
-    fails is loaded whole again for its message.
+    from byte ``start`` by ``os.pread``, which moves no file offset: both halves of
+    a split load are read so, as the forked load helper shares the offset of its
+    parent's file.  The count names a decode error's offset in a whole load, which
+    starts at byte 0; a split load that fails is loaded whole again for its message.
     """
 
     def __init__(self, binary: "IO[bytes] | int", start: int = 0,
@@ -200,14 +200,14 @@ class _ChildFailed(Exception):
     """The forked process raised, or it ended before its last frame."""
 
 
-def _forked(frames: Callable[[], Iterator]) -> Iterator:
+def _forked(frames: Callable[[], Iterator]) -> "Iterator | None":
     """The frames of ``frames()``, run in a process forked now and sent through a pipe.
 
     The last frame is a tuple.  Each frame is a 4-byte little-endian length and a
     ``marshal`` payload; a str payload is the child's traceback.  Every way out of
     the returned generator, ``close()`` included, reaps the child: it kills it first
-    unless it reported its last frame and ended.  Without a working ``os.fork``,
-    ``frames()`` runs here, as the frames are taken.
+    unless it reported its last frame and ended.  None where no process can be
+    forked: ``os.fork`` is missing or fails.
     """
     read_end, write_end = os.pipe()
     try:
@@ -215,7 +215,7 @@ def _forked(frames: Callable[[], Iterator]) -> Iterator:
     except (AttributeError, OSError):  # no os.fork, or no process to spare
         os.close(read_end)
         os.close(write_end)
-        return frames()
+        return None
     if pid == 0:  # the child leaves by os._exit alone: it never returns into the
         code = 1  # caller, nor flushes the stdout buffer it inherited
         try:
@@ -286,16 +286,14 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             binary = open(args.input, "rb") if args.input != "-" else nullcontext(sys.stdin.buffer)
             with binary as fh:
                 r = None
-                if (split := _split(fh, args)) is not None:
-                    # a fault in either half, in their merge or in the helper: the whole
-                    # load below, from byte 0, gives the verdict and its message
-                    helper = partial(_load_rest, fh.fileno(), split, args.k)
-                    with (suppress(OSError, ValueError, _ChildFailed),
-                          closing(_forked(helper)) as rest):
-                        first = io.TextIOWrapper(_Counted(fh, stop=split), encoding="utf-8")
+                # no helper forked, or a fault in either half, in their merge or in the
+                # helper: the whole load below, from byte 0, gives the verdict and message
+                if (split := _split(fh, args)) is not None and (
+                        rest := _forked(partial(_load_rest, fh.fileno(), split, args.k))):
+                    with suppress(OSError, ValueError, _ChildFailed), closing(rest):
+                        first = io.TextIOWrapper(_Counted(fh.fileno(), 0, split), encoding="utf-8")
                         # the helper's one frame, read to its end, which reaps the helper
                         r = load_input(first, "int", keep=args.k, _rest=lambda: [*rest][0])
-                    fh.seek(0)
                 if r is None:
                     counted = _Counted(fh)
                     r = load_input(io.TextIOWrapper(counted, encoding="utf-8"), args.mode,
@@ -318,9 +316,10 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _warn(f"error: {exc}")
         return 3
 
-    # a fork adds 4-5 ms, 7% of a --k 1 run on 10**3 values: k <= _BATCH walks here
+    # k <= _BATCH, or no process to fork, walks here: a fork adds 4-5 ms, 7% of a --k 1
+    # run on 10**3 values
     walk = partial(_walk, r, args)
-    frames = _forked(walk) if args.k > _BATCH else walk()
+    frames = (_forked(walk) if args.k > _BATCH else None) or walk()
     if args.output == "subsets":
         # the decimal strings of the positions: the load kept no value an answer cannot use
         decimal = list(map(str, range(r.n + 1))).__getitem__
@@ -368,7 +367,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # verify and bench import their helpers on call: statistics is not loaded for topk
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .bench import gen_float_instance, gen_instance
-    from .oracle import all_subsets_sorted, subset_problem
+    from .oracle import subset_problem, topk_oracle
 
     if args.n_max > 16:
         parser.error("--n-max is capped at 16 (oracle cost doubles per step)")
@@ -386,7 +385,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if not pending:
             break
         k, inst = (1 << n) - 1, make(n, seed)
-        want, where = [s for s, _ in all_subsets_sorted(inst)], f"(n={n}, seed={seed}, k={k})"
+        want, where = [s for s, _ in topk_oracle(inst, k)], f"(n={n}, seed={seed}, k={k})"
         for variant in pending:
             try:
                 records = list(topk(inst, k, variant)[0])

@@ -69,7 +69,6 @@ def subset_problem(r: InputSet, records: Sequence[RankedSubset]) -> "str | None"
     return None
 
 
-# public, though unused here: perfbench's checker tests import it as their reference
 def topk_oracle(r: InputSet, k: int) -> list[tuple[Number, SubsetPositions]]:
     """First min(k, 2**n - 1) entries of :func:`all_subsets_sorted`."""
     if k < 1:

@@ -626,17 +626,20 @@ _SPLIT_PIECES = [b"0", b"1", b"2", b"7", b"-1", str(2**62).encode(), b"x", b"# c
 
 
 def _split_run(path, k, split):
-    """main() on --input path, split at byte ``split`` (None: whole), os.fork taken away:
-    code, stdout, stderr, and the number of calls of cli.load_input."""
+    """main() on --input path, split at byte ``split`` (None: whole), every "forked"
+    process run here: code, stdout, stderr, and the numbers of calls of cli.load_input
+    and of cli._load_rest."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_split", lambda fh, args: split)
-        mp.delattr(os, "fork")
+        mp.setattr(cli, "_forked", lambda frames: frames())
         loads, real_load = [], cli.load_input
         mp.setattr(cli, "load_input", lambda *a, **kw: loads.append(1) or real_load(*a, **kw))
+        rests, real_rest = [], cli._load_rest
+        mp.setattr(cli, "_load_rest", lambda *a: rests.append(1) or real_rest(*a))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["topk", "--input", path, "--k", str(k)])
-    return code, out.getvalue(), err.getvalue(), len(loads)
+    return code, out.getvalue(), err.getvalue(), len(loads), len(rests)
 
 
 class TestSplitLoad:
@@ -713,10 +716,21 @@ class TestSplitLoad:
         assert out.count("\n") == 5
 
     @pytest.mark.parametrize("fork", [False, "fails"], ids=["no-fork", "fork-fails"])
-    def test_without_a_working_fork_both_halves_load_here(self, tmp_path, capsys, fork):
+    def test_without_a_working_fork_loads_whole(self, tmp_path, capsys, monkeypatch, fork):
         argv = self.argv(tmp_path, self.DATA, "--k", str(TestForkedWalk.K), "--output", "subsets")
+        want = self.run(capsys, argv, split=len(self.DATA) + 1)[:4]
+        rests, real_rest = [], cli._load_rest
+        monkeypatch.setattr(cli, "_load_rest", lambda *a: rests.append(1) or real_rest(*a))
         *run, calls = self.run(capsys, argv, 1, fork)
-        assert run == list(self.run(capsys, argv, 1)[:4])
+        assert run == list(want) and want[0] == 0
+        assert (calls, rests) == (["load"], [])
+
+    def test_a_platform_without_fork_or_pread_loads_whole(self, tmp_path, capsys, monkeypatch):
+        argv = self.argv(tmp_path, self.DATA, "--k", "5")
+        want = self.run(capsys, argv, split=1)[:4]
+        monkeypatch.delattr(os, "pread")
+        *run, calls = self.run(capsys, argv, 1, fork=False)
+        assert run == list(want) and want[0] == 0
         assert calls == ["load"]
 
     @pytest.mark.parametrize("how", ["raises", "killed"])
@@ -762,10 +776,11 @@ class TestSplitLoad:
             path = os.path.join(tmp, "values.txt")
             with open(path, "wb") as fh:
                 fh.write(data)
-            *whole, loads = _split_run(path, k, None)
-            assert loads == 1
-            # a split load that passes is never redone; one that fails always is
-            split = (*whole, 1 if whole[0] == 0 else 2)
+            *whole, loads, rests = _split_run(path, k, None)
+            assert (loads, rests) == (1, 0)
+            # every cut loads its rest once; a split load that passes is never redone,
+            # one that fails always is
+            split = (*whole, 1 if whole[0] == 0 else 2, 1)
             cuts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
             for cut in cuts:
                 assert _split_run(path, k, cut) == split, cut

@@ -71,10 +71,7 @@ USES = [
     for path in PACKAGE.glob("*.py")
     for stmt in parse(path).body
 ]
-ALLOWED = {
-    "topk_oracle": "perfbench/test_checker.py imports it from the package as the"
-                   " answer checker's independent reference",
-}
+ALLOWED = {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
