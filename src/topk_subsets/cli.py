@@ -196,18 +196,15 @@ def _walk(r, args: argparse.Namespace) -> Iterator:
     yield dataclasses.astuple(metrics)
 
 
-class _ChildFailed(Exception):
-    """The forked process raised, or it ended before its last frame."""
-
-
 def _forked(frames: Callable[[], Iterator]) -> "Iterator | None":
     """The frames of ``frames()``, run in a process forked now and sent through a pipe.
 
     The last frame is a tuple.  Each frame is a 4-byte little-endian length and a
     ``marshal`` payload; a str payload is the child's traceback.  Every way out of
-    the returned generator, ``close()`` included, reaps the child: it kills it first
-    unless it reported its last frame and ended.  None where no process can be
-    forked: ``os.fork`` is missing or fails.
+    the returned generator, ``close()`` included, reaps the child once: it kills it
+    first unless the child closed the pipe.  A child that failed raises the builtin
+    ``ChildProcessError``.  None where no process can be forked: ``os.fork`` is
+    missing or fails.
     """
     read_end, write_end = os.pipe()
     try:
@@ -244,9 +241,10 @@ def _received(pid: int, read_end: int) -> Iterator:
     """The frames that child ``pid`` sends to ``read_end``.
 
     A None comes first, which ``_forked`` takes: from then on ``close()`` runs the
-    ``finally`` that reaps the child.
+    ``finally``, the one place that reaps the child.  Where SIGCHLD is ignored, the
+    system reaps it first: the wait finds no status, so an early end names none.
     """
-    reaped = done = False
+    ended = done = False
     try:
         with open(read_end, "rb") as pipe:
             yield None
@@ -257,20 +255,21 @@ def _received(pid: int, read_end: int) -> Iterator:
                     break
                 frame = marshal.loads(data)
                 if isinstance(frame, str):
-                    raise _ChildFailed(frame.rstrip("\n"))
+                    raise ChildProcessError(frame.rstrip("\n"))
                 done = isinstance(frame, tuple)
                 yield frame
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if not done:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
-            raise _ChildFailed(f"its process ended {how} before its last frame")
+        ended = True  # the child closed its end of the pipe
     finally:
-        if not reaped:
+        if not ended:
             from signal import SIGKILL  # only an early exit pays for the module
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
+            with suppress(ProcessLookupError):  # the system reaped it already
+                os.kill(pid, SIGKILL)
+        how = ""
+        with suppress(ChildProcessError):  # SIGCHLD ignored: reaped, status and all
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f" by signal {-code}" if code < 0 else f" with exit code {code}"
+    if not done:
+        raise ChildProcessError(f"its process ended{how} before its last frame")
 
 
 def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -290,7 +289,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 # helper: the whole load below, from byte 0, gives the verdict and message
                 if (split := _split(fh, args)) is not None and (
                         rest := _forked(partial(_load_rest, fh.fileno(), split, args.k))):
-                    with suppress(OSError, ValueError, _ChildFailed), closing(rest):
+                    with suppress(OSError, ValueError), closing(rest):
                         first = io.TextIOWrapper(_Counted(fh.fileno(), 0, split), encoding="utf-8")
                         # the helper's one frame, read to its end, which reaps the helper
                         r = load_input(first, "int", keep=args.k, _rest=lambda: [*rest][0])
@@ -347,7 +346,7 @@ def cmd_topk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 rank += len(frame)
                 out.write("".join(lines))
                 out.flush()
-    except _ChildFailed as exc:
+    except ChildProcessError as exc:
         _warn(f"error: the walk failed: {exc}")
         return 1
 

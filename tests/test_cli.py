@@ -396,6 +396,24 @@ def _no_child_left():
     return False
 
 
+@contextlib.contextmanager
+def _sigchld_ignored():
+    """SIGCHLD set to SIG_IGN, as a parent that ignores it passes it on across exec:
+    the system reaps each child as it ends, and os.waitpid finds none."""
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+
+
+def _kill_log(monkeypatch):
+    """Record the signal of each call of os.kill from here on."""
+    kills, real = [], os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(sig) or real(pid, sig))
+    return kills
+
+
 def _fork_count(monkeypatch):
     """Count the calls of os.fork from here on."""
     forks, real = [], os.fork
@@ -612,6 +630,118 @@ class TestForkedWalk:
         assert [w.count("\n") for w in stdout.writes] == [1024]
         assert not metrics.exists()
 
+    @pytest.mark.parametrize("output", ["sums", "subsets", "deltas"])
+    def test_an_ignored_sigchld_ends_a_forked_run_as_the_default_does(self, monkeypatch, capsys,
+                                                                      output):
+        argv = ["topk", "--k", str(self.K), "--output", output]
+        text = _values_text("int")
+        kills = _kill_log(monkeypatch)
+        want = self.run(argv, text, forked=True, clock=lambda: 0.0)
+        with _sigchld_ignored():
+            run = self.run(argv, text, forked=True, clock=lambda: 0.0)
+        assert run == want and want[0] == 0
+        assert capsys.readouterr().err == ""
+        assert kills == []  # a walker that closed the pipe is waited on, never killed
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("how", ["raises", "killed"])
+    def test_a_failed_walk_where_sigchld_is_ignored_fails_the_run(self, monkeypatch, tmp_path,
+                                                                  capsys, how):
+        test_pid = os.getpid()
+
+        def fail():
+            assert os.getpid() != test_pid, "the walk ran in the test's own process"
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the walk broke")
+
+        stdout = self.failing_walk(monkeypatch, fail)
+        forks = _fork_count(monkeypatch)
+        metrics = tmp_path / "metrics.txt"
+        with _sigchld_ignored():
+            code = main(["topk", "--k", str(self.K), "--metrics", str(metrics)])
+        err = capsys.readouterr().err
+        assert code == 1
+        if how == "killed":  # the system reaped the walker, and its status with it
+            assert err == "error: the walk failed: its process ended before its last frame\n"
+        else:
+            assert err.startswith("error: the walk failed: Traceback")
+            assert err.endswith("RuntimeError: the walk broke\n")
+        assert [w.count("\n") for w in stdout.writes] == [1024]
+        assert not metrics.exists()
+        assert forks == [1] and _no_child_left()
+
+    def test_the_cli_inherits_an_ignored_sigchld_across_exec(self, tmp_path):
+        # a parent that ignores SIGCHLD execs the CLI; a large int file also forks a load helper
+        data = _lines_of(100_000, 3)
+        assert len(data) >= cli._SPLIT
+        path = tmp_path / "values.txt"
+        path.write_bytes(data)
+        src = os.path.dirname(os.path.dirname(topk_subsets.__file__))
+        runs = []
+        for ignore in (False, True):
+            metrics = tmp_path / f"metrics-{ignore}.txt"
+            start = ("import os, signal, sys\n"
+                     + ("signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n" if ignore else "")
+                     + "os.execv(sys.executable, [sys.executable, '-m', 'topk_subsets.cli',"
+                       " *sys.argv[1:]])\n")
+            proc = subprocess.run(
+                [sys.executable, "-c", start, "topk", "--input", str(path), "--k", "3000",
+                 "--output", "subsets", "--metrics", str(metrics)],
+                capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+            lines = [line for line in metrics.read_text().splitlines()
+                     if not line.startswith("elapsed_ns=")]
+            runs.append((proc.returncode, proc.stdout, proc.stderr, lines))
+        assert runs[1] == runs[0]
+        code, out, err, _ = runs[1]
+        assert (code, err) == (0, b"")
+        assert out.decode() == "".join(_library_lines(data.decode(), 3000, "compact", "subsets",
+                                                      "int"))
+
+
+class TestForkedFrames:
+    """cli._forked's generator: a child that fails raises the builtin ChildProcessError."""
+
+    @pytest.mark.parametrize("how, message", [
+        ("raises", None),
+        ("exits", "its process ended with exit code 3 before its last frame"),
+        ("killed", f"its process ended by signal {signal.SIGKILL.value} before its last frame"),
+    ], ids=["raises", "exits", "killed"])
+    def test_a_failed_child_raises_child_process_error(self, how, message):
+        test_pid = os.getpid()
+
+        def frames():
+            assert os.getpid() != test_pid, "the frames ran in the test's own process"
+            yield [1]
+            if how == "exits":
+                os._exit(3)
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the child broke")
+
+        with contextlib.closing(cli._forked(frames)) as received:
+            assert next(received) == [1]
+            with pytest.raises(ChildProcessError) as exc:
+                next(received)
+        assert isinstance(exc.value, OSError)
+        if message is None:  # the child's traceback
+            assert str(exc.value).startswith("Traceback")
+            assert str(exc.value).endswith("RuntimeError: the child broke")
+        else:
+            assert str(exc.value) == message
+        assert _no_child_left()
+
+    def test_an_early_close_after_the_system_reaped_the_child(self):
+        with _sigchld_ignored():
+            received = cli._forked(lambda: iter([[1], [2], ()]))
+            assert next(received) == [1]
+            deadline = time.monotonic() + 60
+            while not _no_child_left():  # the child sends all its frames and ends
+                assert time.monotonic() < deadline, "the child did not end"
+                time.sleep(0.01)
+            received.close()  # kills a child that is no longer there, then waits
+        assert _no_child_left()
+
 
 def _lines_of(count, seed):
     """count ints in [1, 1000], one per line, some lines CRLF and some commented."""
@@ -732,6 +862,20 @@ class TestSplitLoad:
         *run, calls = self.run(capsys, argv, 1, fork=False)
         assert run == list(want) and want[0] == 0
         assert calls == ["load"]
+
+    @pytest.mark.parametrize("k", [5, TestForkedWalk.K])
+    def test_an_ignored_sigchld_still_loads_once(self, tmp_path, capsys, monkeypatch, k):
+        argv = self.argv(tmp_path, self.DATA, "--k", str(k), "--output", "subsets")
+        kills = _kill_log(monkeypatch)
+        *want, want_calls = self.run(capsys, argv, split=1)
+        with _sigchld_ignored():
+            *run, calls = self.run(capsys, argv, split=1)
+        assert run == want and want[0] == 0 and want[2] == ""
+        # the helper's frame merges: a split load that passes is never redone
+        walker = ["fork"] if k > cli._BATCH else []
+        assert calls == want_calls == ["fork", "load"] + walker
+        assert kills == []
+        assert _no_child_left()
 
     @pytest.mark.parametrize("how", ["raises", "killed"])
     def test_a_failed_helper_leaves_the_load_to_the_parent(self, tmp_path, capsys, monkeypatch,
