@@ -199,12 +199,12 @@ def _walk(r, args: argparse.Namespace) -> Iterator:
 def _forked(frames: Callable[[], Iterator]) -> "Iterator | None":
     """The frames of ``frames()``, run in a process forked now and sent through a pipe.
 
-    The last frame is a tuple.  Each frame is a 4-byte little-endian length and a
-    ``marshal`` payload; a str payload is the child's traceback.  Every way out of
-    the returned generator, ``close()`` included, reaps the child once: it kills it
-    first unless the child closed the pipe.  A child that failed raises the builtin
-    ``ChildProcessError``.  None where no process can be forked: ``os.fork`` is
-    missing or fails.
+    The frames end with a tuple.  Each frame is a 4-byte little-endian length and a
+    ``marshal`` payload; a str payload is the child's traceback, sent last.  The
+    returned generator reads the pipe to its end and reaps the child once, and then a
+    failed child raises the builtin ``ChildProcessError``.  Only a reader that leaves
+    early, by ``close()`` or a fault, has the child killed first.  None where no
+    process can be forked: ``os.fork`` is missing or fails.
     """
     read_end, write_end = os.pipe()
     try:
@@ -238,13 +238,13 @@ def _forked(frames: Callable[[], Iterator]) -> "Iterator | None":
 
 
 def _received(pid: int, read_end: int) -> Iterator:
-    """The frames that child ``pid`` sends to ``read_end``.
+    """The frames that child ``pid`` sends to ``read_end``, read to the pipe's end.
 
-    A None comes first, which ``_forked`` takes: from then on ``close()`` runs the
-    ``finally``, the one place that reaps the child.  Where SIGCHLD is ignored, the
-    system reaps it first: the wait finds no status, so an early end names none.
+    A None comes first, which ``_forked`` takes.  The ``finally`` reaps the child, once,
+    killing it first only if the reader left early; a failure raises after it.  Where
+    SIGCHLD is ignored, the system reaps it first: the wait finds no status to name.
     """
-    ended = done = False
+    ended, last = False, None
     try:
         with open(read_end, "rb") as pipe:
             yield None
@@ -253,11 +253,9 @@ def _received(pid: int, read_end: int) -> Iterator:
                 data = pipe.read(size)
                 if len(data) < size:
                     break
-                frame = marshal.loads(data)
-                if isinstance(frame, str):
-                    raise ChildProcessError(frame.rstrip("\n"))
-                done = isinstance(frame, tuple)
-                yield frame
+                last = marshal.loads(data)
+                if not isinstance(last, str):  # a str, the traceback, is kept for after the wait
+                    yield last
         ended = True  # the child closed its end of the pipe
     finally:
         if not ended:
@@ -268,7 +266,9 @@ def _received(pid: int, read_end: int) -> Iterator:
         with suppress(ChildProcessError):  # SIGCHLD ignored: reaped, status and all
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             how = f" by signal {-code}" if code < 0 else f" with exit code {code}"
-    if not done:
+    if isinstance(last, str):
+        raise ChildProcessError(last.rstrip("\n"))
+    if not isinstance(last, tuple):
         raise ChildProcessError(f"its process ended{how} before its last frame")
 
 

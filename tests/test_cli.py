@@ -603,9 +603,11 @@ class TestForkedWalk:
 
         stdout = self.failing_walk(monkeypatch, fail)
         forks = _fork_count(monkeypatch)
+        kills = _kill_log(monkeypatch)
         metrics = tmp_path / "metrics.txt"
         assert main(["topk", "--k", str(self.K), "--metrics", str(metrics)]) == 1
         assert forks == [1] and _no_child_left()
+        assert kills == []  # the walker's traceback is its last frame: read to the end, waited on
         err = capsys.readouterr().err
         assert err.startswith("error: the walk failed: Traceback")
         assert err.endswith("RuntimeError: the walk broke\n")
@@ -657,6 +659,7 @@ class TestForkedWalk:
 
         stdout = self.failing_walk(monkeypatch, fail)
         forks = _fork_count(monkeypatch)
+        kills = _kill_log(monkeypatch)
         metrics = tmp_path / "metrics.txt"
         with _sigchld_ignored():
             code = main(["topk", "--k", str(self.K), "--metrics", str(metrics)])
@@ -669,6 +672,7 @@ class TestForkedWalk:
             assert err.endswith("RuntimeError: the walk broke\n")
         assert [w.count("\n") for w in stdout.writes] == [1024]
         assert not metrics.exists()
+        assert kills == []  # the system may have reaped the walker: no signal to its pid
         assert forks == [1] and _no_child_left()
 
     def test_the_cli_inherits_an_ignored_sigchld_across_exec(self, tmp_path):
@@ -707,7 +711,7 @@ class TestForkedFrames:
         ("exits", "its process ended with exit code 3 before its last frame"),
         ("killed", f"its process ended by signal {signal.SIGKILL.value} before its last frame"),
     ], ids=["raises", "exits", "killed"])
-    def test_a_failed_child_raises_child_process_error(self, how, message):
+    def test_a_failed_child_raises_child_process_error(self, monkeypatch, how, message):
         test_pid = os.getpid()
 
         def frames():
@@ -719,11 +723,13 @@ class TestForkedFrames:
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("the child broke")
 
+        kills = _kill_log(monkeypatch)
         with contextlib.closing(cli._forked(frames)) as received:
             assert next(received) == [1]
             with pytest.raises(ChildProcessError) as exc:
                 next(received)
         assert isinstance(exc.value, OSError)
+        assert kills == []  # a child that ended by itself is waited on, never killed
         if message is None:  # the child's traceback
             assert str(exc.value).startswith("Traceback")
             assert str(exc.value).endswith("RuntimeError: the child broke")
@@ -891,9 +897,11 @@ class TestSplitLoad:
         argv = self.argv(tmp_path, self.DATA, "--k", "5")
         want = self.run(capsys, argv, split=len(self.DATA) + 1)[:4]
         monkeypatch.setattr(cli, "_load_values", fail)  # the helper's, not the parent's
+        kills = _kill_log(monkeypatch)
         *run, calls = self.run(capsys, argv, split=1)
         assert run == list(want) and want[0] == 0
         assert calls == ["fork", "load", "load"]
+        assert kills == []  # a failed helper is read to its end and waited on, never killed
 
     @given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=24).map(b"".join),
            st.one_of(st.none(), st.integers(1, 12)), st.sampled_from([2, 5, core._BLOCK]))
