@@ -1,8 +1,8 @@
 """Command-line surface: query, verify, benchmark, and DAG export.
 
-Exit codes: 0 success (including a truncated answer, which adds a notice
-on stderr), 1 a ``topk`` walk that failed in its forked process, 2 bad flags
-or an output file that cannot be written, 3 unusable input data.
+Exit codes: 0 success (including a truncated answer, which adds a notice on
+stderr), 1 a failed ``verify`` check or ``topk`` walk (in its forked process),
+2 bad flags or an output file that cannot be written, 3 unusable input data.
 Every subcommand exits 141 (128 + SIGPIPE, what a shell reports for a
 filter killed by a closed pipe) without a traceback when its stdout is
 closed before the last line, as in ``topk ... | head``, or at start, when

@@ -95,8 +95,8 @@ class InputSet:
             _check_int64(self.n, values[-1])
             exact, scale = values, 1
         else:
-            # each denominator is a power of two, so the largest is a multiple of all;
-            # streamed twice, as a list of 10**6 ratio pairs costs more than a pass
+            # denominators are powers of two, so the largest is a multiple of all; each value's
+            # ratio is taken 3 times (once for scale, twice zipped for exact), cheaper than a list
             ratio = methodcaller("as_integer_ratio")
             scale = max(map(itemgetter(1), map(ratio, values)))
             exact = tuple(map(mul, map(itemgetter(0), map(ratio, values)),

@@ -1,17 +1,17 @@
 """Three interchangeable streaming top-k enumerators on one best-first driver.
 
 Each step of the driver extracts the smallest-sum node from a
-:class:`BoundedPool`, inserts its successors and emits it as one item (a
-:class:`RankedSubset`, or the fields that the ``topk`` CLI prints), so
-consuming q items never does the work of q+1.  A variant picks the root,
-successor rule, item and sum key.  All but ``baseline`` skip the
-successors of the final extraction (nothing after it can surface) and
-after every other step q, when the pool holds more than the k - q answers
-still owed, declare that budget with ``prune_to(k - q)``; a pruned entry
-could never be emitted.
+:class:`BoundedPool`, keyed by the node's exact sum ``node[0]``, inserts
+its successors and emits it as one item (a :class:`RankedSubset`, or the
+fields that the ``topk`` CLI prints), so consuming q items never does the
+work of q+1.  A variant picks the root, successor rule and item.  All but
+``baseline`` skip the successors of the final extraction (nothing after
+it can surface) and after every other step q, when the pool holds more
+than the k - q answers still owed, declare that budget with
+``prune_to(k - q)``; a pruned entry could never be emitted.
 
 ``baseline``
-    Prior-work scheme over ``(positions, total)`` nodes.  Children of S
+    Prior-work scheme over ``(total, positions)`` nodes.  Children of S
     are (S - {max}) + {max+1} and S + {max+1}, both existing when
     max(S) < n, so generation is duplicate-free.  It expands every
     extraction and never prunes: a completed k-run makes exactly 2k+1
@@ -36,13 +36,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Iterator
 
 from .core import InputSet, RankedSubset, _new, unscale
 from .pool import BoundedPool
 from .shifts import (_bitvec_fields, _compact_fields, bit_root, bitvec_record, compact_children,
-                     compact_root, delta_record, final_dag_children, node_total, with_total)
+                     compact_root, delta_record, final_dag_children)
 
 __all__ = ["RunMetrics", "Variant", "topk"]
 
@@ -77,39 +76,39 @@ class Variant(Enum):
 
 
 def _baseline_successors(node: tuple, r: InputSet, rank: int) -> list[tuple]:
-    """Baseline children of a ``(positions, total)`` node: replace-max, then extend-max."""
-    positions, total = node
+    """Baseline children of a ``(total, positions)`` node: replace-max, then extend-max."""
+    total, positions = node
     values, m = r.exact, positions[-1]
     if m >= len(values):
         return []
-    return [(positions[:-1] + (m + 1,), total - values[m - 1] + values[m]),
-            (positions + (m + 1,), total + values[m])]
+    return [(total - values[m - 1] + values[m], positions[:-1] + (m + 1,)),
+            (total + values[m], positions + (m + 1,))]
 
 
 def _positions_record(rank: int, node: tuple) -> RankedSubset:
-    return _new(RankedSubset, (rank, node[1], node[0], None))
+    return _new(RankedSubset, (rank, node[0], node[1], None))
 
 
-_baseline_fields = {"sums": lambda q, node: node[1], "subsets": lambda q, node: (node[1], node[0])}
+_baseline_fields = {"sums": _compact_fields["sums"], "subsets": lambda q, node: node}
 
 
-def _best_first(r, k_eff, root, successors, record, key, with_total, expand_all=False):
+def _best_first(r, k_eff, root, successors, record, expand_all=False):
     """Emit the item ``record(q, node)`` for the k_eff best nodes reachable from root.
 
-    ``successors(node, r, q)`` gives the children of the q-th node and ``key(node)``
-    its exact sum.  Float mode builds each item from ``with_total(node, key(node)
-    rounded once)``.  ``expand_all`` (baseline) expands every extraction, never prunes.
+    ``successors(node, r, q)`` gives the children of the q-th node; ``node[0]``, its
+    exact sum, is its pool key and is rounded once in a float-mode item.
+    ``expand_all`` (baseline) expands every extraction, never prunes.
     """
     metrics = RunMetrics()
     if r.mode == "float":
         def record(q: int, node, exact_record=record, scale=r.scale):
-            return exact_record(q, with_total(node, unscale(key(node), scale)))
+            return exact_record(q, (unscale(node[0], scale),) + node[1:])
 
     def gen() -> Stream:
         t0 = time.perf_counter_ns()
         try:
             pool = BoundedPool()
-            pool.insert(root, key(root))
+            pool.insert(root, root[0])
             metrics.total_insertions = metrics.peak_size = 1
             # bound locally: the loop body runs k_eff times
             extract, insert, prune_to = pool.extract_min, pool.insert, pool.prune_to
@@ -119,7 +118,7 @@ def _best_first(r, k_eff, root, successors, record, key, with_total, expand_all=
                 if q < k_eff or expand_all:
                     children = successors(node, r, q)
                     for child in children:
-                        insert(child, key(child))
+                        insert(child, child[0])
                     metrics.total_insertions += len(children)
                     size = len(pool)
                     if size > metrics.peak_size:
@@ -147,9 +146,10 @@ def topk(
     and an unknown variant raise ``ValueError`` here; the pool is first
     touched at the first ``next()``.  When fewer than k non-empty subsets
     exist, the stream ends early and ``metrics.extractions`` reports how
-    many were emitted.  Sums are non-decreasing; ties order arbitrarily
-    but deterministically.  Float-mode totals are floats, each the exact
-    sum rounded once (``inf`` past the float range).  ``_fields``, the
+    many were emitted.  Every variant's node keeps its exact int sum at
+    ``node[0]``, so sums are non-decreasing in both modes; ties order
+    arbitrarily but deterministically.  Float-mode totals are floats, each
+    the exact sum rounded once (``inf`` past the float range).  ``_fields``, the
     ``topk`` CLI's ``--output``, makes it yield the fields printed, not records.
     """
     variant = Variant(variant)
@@ -158,11 +158,10 @@ def topk(
     # no n-bit int: at n = 10**6 building one raised the CLI's peak RSS by 4 MB
     k_eff = k if r.n >= 64 else min(k, (1 << r.n) - 1)
     if variant is Variant.BASELINE:
-        return _best_first(r, k_eff, ((1,), r.exact[0]), _baseline_successors,
-                           _baseline_fields.get(_fields, _positions_record), itemgetter(1),
-                           lambda node, total: (node[0], total), expand_all=True)
+        return _best_first(r, k_eff, (r.exact[0], (1,)), _baseline_successors,
+                           _baseline_fields.get(_fields, _positions_record), expand_all=True)
     if variant is Variant.ONDEMAND_BITVEC:
         return _best_first(r, k_eff, bit_root(r), final_dag_children,
-                           _bitvec_fields.get(_fields, bitvec_record), node_total, with_total)
+                           _bitvec_fields.get(_fields, bitvec_record))
     return _best_first(r, k_eff, compact_root(r), compact_children,
-                       _compact_fields.get(_fields, delta_record), node_total, with_total)
+                       _compact_fields.get(_fields, delta_record))

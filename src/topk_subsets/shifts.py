@@ -8,18 +8,19 @@ which every non-root subset has exactly one parent and every node has at
 most two children.  Walking that DAG best-first enumerates subsets in
 non-decreasing sum order without any duplicate suppression.
 
-A node is a plain tuple, laid out here and indexed in no other module:
+A node is a plain tuple, laid out here; the walk reads only ``node[0]``:
 
-* 0-3: the cursors, which let the rule run in O(1): ``first_after_gap``,
+* 0: the exact total, the walk's sort key;
+* 1-3: ``(parent_rank, removed, added)``, the edge from the node's one
+  parent, stamped with its emission rank (None, None, 1 at the root);
+* 4-7: the cursors, which let the rule run in O(1): ``first_after_gap``,
   the first member after the first non-member (so the first member when
   1 is not one; never 1), or 0 when none follows; ``prefix_end``, the
   end of the leading run 1, 2, ..., or 0 when 1 is not a member;
   ``last_one``, the largest member; ``second_after_gap``, the first
   member after ``first_after_gap``, or 0 when there is none or
   ``first_after_gap`` is 0;
-* 4: the size, 5: the exact total;
-* 6-8: ``(parent_rank, removed, added)``, the edge from the node's one
-  parent, stamped with its emission rank (None, None, 1 at the root);
+* 8: the size;
 * 9: the pattern, on bit-vector nodes only: bytes, one per position,
   any non-zero byte a member.
 
@@ -39,7 +40,6 @@ leading one run one step right, ``Incr`` extends a pattern of the shape
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from typing import Iterator
 
 from .core import Delta, InputSet, RankedSubset, SubsetPositions, _new
@@ -48,9 +48,7 @@ __all__ = [
     "mandatory_static_children",
     "compact_root",
     "compact_children",
-    "node_total",
     "delta_record",
-    "with_total",
     "positions_from_bits",
     "pattern_text",
     "bit_root",
@@ -98,50 +96,42 @@ def mandatory_static_children(s: SubsetPositions, n: int) -> list[tuple[SubsetPo
 
 def compact_root(r: InputSet) -> tuple:
     """The singleton {1} with a root delta that adds position 1."""
-    return (0, 1, 1, 0, 1, r.exact[0], None, None, 1)
+    return (r.exact[0], None, None, 1, 0, 1, 1, 0, 1)
 
 
 def compact_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple]:
     """The children of node in the final DAG, at most two, in Type1, Type2, Incr order.
 
-    Type1 moves first_after_gap ``node[0]`` (at 2..n-1) right onto a free
-    slot, seen as second_after_gap ``node[3] != node[0] + 1``.  Type2
-    moves prefix_end ``node[1]`` (at 1..n-1) right; the slot is free by
-    run maximality, and the old ``node[0]`` becomes the child's field 3.
+    Type1 moves first_after_gap ``node[4]`` (at 2..n-1) right onto a free
+    slot, seen as second_after_gap ``node[7] != node[4] + 1``.  Type2
+    moves prefix_end ``node[5]`` (at 1..n-1) right; the slot is free by
+    run maximality, and the old ``node[4]`` becomes the child's field 7.
     Incr sets position 1 on a pattern 01..10..0, the only edge into the
-    next size layer.  ``parent_rank`` fills each child's field 6, and its
-    fields 7-8, (removed, added), name the edge: Incr removes nothing,
-    Type1 the parent's ``node[0]``, Type2 its ``node[1]``.
+    next size layer.  ``parent_rank`` fills each child's field 1, and its
+    fields 2-3, (removed, added), name the edge: Incr removes nothing,
+    Type1 the parent's ``node[4]``, Type2 its ``node[5]``.
     """
     # one unpack instead of repeated field gets: this runs once per extraction
-    fag, pe, last, sag, size, total = node[:6]
+    total, _, _, _, fag, pe, last, sag, size = node[:9]
     values = r.exact
     n = len(values)
     out: list[tuple] = []
     if 1 < fag < n and sag != fag + 1:
         moved_last = last + 1 if last == fag else last
-        out.append((fag + 1, pe, moved_last, sag, size,
-                    total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1))
+        out.append((total - values[fag - 1] + values[fag], parent_rank, fag, fag + 1,
+                    fag + 1, pe, moved_last, sag, size))
     if 1 <= pe < n:
         moved_last = pe + 1 if last == pe else last
-        out.append((pe + 1, pe - 1, moved_last, fag, size,
-                    total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1))
+        out.append((total - values[pe - 1] + values[pe], parent_rank, pe, pe + 1,
+                    pe + 1, pe - 1, moved_last, fag, size))
     if fag == 2 and pe == 0 and last == size + 1:
-        out.append((0, last, last, 0, size + 1, total + values[0], parent_rank, None, 1))
+        out.append((total + values[0], parent_rank, None, 1, 0, last, last, 0, size + 1))
     return out
-
-
-node_total = itemgetter(5)  # the best-first walk's sort key: a node's exact total
 
 
 def delta_record(rank: int, node: tuple) -> RankedSubset:
     """The record of a compact node: its total and the edge from its parent."""
-    return _new(RankedSubset, (rank, node[5], None, _new(Delta, node[6:])))
-
-
-def with_total(node: tuple, total) -> tuple:
-    """The node with ``total`` in place of its exact one: float mode builds its items so."""
-    return node[:5] + (total,) + node[6:]
+    return _new(RankedSubset, (rank, node[0], None, _new(Delta, node[1:4])))
 
 
 # -- bit-vector nodes: a compact node plus its pattern --------------------------
@@ -172,9 +162,9 @@ def final_dag_children(node: tuple, r: InputSet, parent_rank: int) -> list[tuple
     out = []
     for child in compact_children(node, r, parent_rank):
         b = bytearray(pattern)
-        if child[7] is not None:
-            b[child[7] - 1] = 0
-        b[child[8] - 1] = 1
+        if child[2] is not None:
+            b[child[2] - 1] = 0
+        b[child[3] - 1] = 1
         out.append(child + (bytes(b),))
     return out
 
@@ -186,14 +176,14 @@ def bitvec_record(rank: int, node: tuple) -> RankedSubset:
     acceptance tests 5-6 measure against compact.  A C-level bytes.find
     scan hides the n in the constant and fails both.
     """
-    return _new(RankedSubset, (rank, node[5], positions_from_bits(node[9]), None))
+    return _new(RankedSubset, (rank, node[0], positions_from_bits(node[9]), None))
 
 
 # per topk CLI --output, the fields it prints of a node: its walk yields them, not records
-_compact_fields = {"sums": lambda rank, node: node[5], "deltas": lambda rank, node: node[5:9]}
+_compact_fields = {"sums": lambda rank, node: node[0], "deltas": lambda rank, node: node[:4]}
 _compact_fields["subsets"] = _compact_fields["deltas"]
 _bitvec_fields = {"sums": _compact_fields["sums"],
-                 "subsets": lambda rank, node: (node[5], positions_from_bits(node[9]))}
+                 "subsets": lambda rank, node: (node[0], positions_from_bits(node[9]))}
 
 
 # -- structural checkers --------------------------------------------------------
@@ -214,7 +204,7 @@ def walk_final_dag(n: int) -> Iterator[tuple[tuple, list[tuple[tuple, str]]]]:
     while queue:
         node = queue.popleft()
         children = final_dag_children(node, r, 0)
-        yield node, [(c, "Incr" if c[7] is None else "Type1" if c[7] == node[0] else "Type2")
+        yield node, [(c, "Incr" if c[2] is None else "Type1" if c[2] == node[4] else "Type2")
                      for c in children]
         queue.extend(children)
 
@@ -237,11 +227,11 @@ def final_dag_report(n: int) -> list[str]:
     for count, (node, children) in enumerate(walk_final_dag(n), 1):
         pattern, s = pattern_text(node), positions_from_bits(node[9])
         quad = _cursors(s)
-        if node[:4] != quad:
-            problems.append(f"{pattern}: cursors {node[:4]} != recomputed {quad}")
-        if node[4] != len(s):
+        if node[4:8] != quad:
+            problems.append(f"{pattern}: cursors {node[4:8]} != recomputed {quad}")
+        if node[8] != len(s):
             problems.append(f"{pattern}: size field out of step")
-        if node[5] != sum(s):
+        if node[0] != sum(s):
             problems.append(f"{pattern}: stored total diverges from direct sum")
         want = mandatory_static_children(s, n)
         if s == tuple(range(2, len(s) + 2)) and len(s) < n:
@@ -250,7 +240,7 @@ def final_dag_report(n: int) -> list[str]:
         if got != want:
             problems.append(f"{pattern}: children {got} != position rule {want}")
         for child, edge in children:
-            if child[5] < node[5]:
+            if child[0] < node[0]:
                 problems.append(f"{pattern} -{edge}-> sum decreases")
             if child[9] in seen:
                 problems.append(f"{pattern_text(child)} generated twice (second parent {pattern})")

@@ -1221,7 +1221,7 @@ class TestVerifyCommand:
 
         def no_type2(node, r, parent_rank):
             # Type2 removes the parent's prefix_end, never its first_after_gap
-            return [c for c in real(node, r, parent_rank) if c[7] in (None, node[0])]
+            return [c for c in real(node, r, parent_rank) if c[2] in (None, node[4])]
 
         monkeypatch.setattr(shifts, "compact_children", no_type2)
         code = main(["verify", "--n-max", "4", "--seeds", "1", "--algos", "bitvec"])

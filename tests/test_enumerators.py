@@ -25,9 +25,9 @@ def drain(r, k, variant):
 def baseline_children(s: tuple, n: int) -> list:
     """The positions of baseline's successors of s over the values 1..n."""
     r = InputSet(tuple(range(1, n + 1)))
-    kids = enumerators._baseline_successors((s, sum(s)), r, 1)
-    assert all(total == sum(p) for p, total in kids)
-    return [p for p, _ in kids]
+    kids = enumerators._baseline_successors((sum(s), s), r, 1)
+    assert all(total == sum(p) for total, p in kids)
+    return [p for _, p in kids]
 
 
 class TestBaselineChildren:
@@ -154,19 +154,22 @@ class TestCounters:
         for it in stream:
             assert m.total_insertions - m.extractions - m.prunes <= 100 - it.rank
 
+    @pytest.mark.parametrize("mode", ["int", "float"])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     @pytest.mark.parametrize("values", [range(1, 31), [0] * 9, [v % 3 for v in range(12)]],
                              ids=["distinct", "zeros", "ties"])
-    def test_counters_follow_the_pool_operations(self, monkeypatch, variant, values):
+    def test_counters_follow_the_pool_operations(self, monkeypatch, variant, values, mode):
         # what the walk asks of the real pool, counted at the pool: inserts,
         # largest len() after an insert, extractions, live entries a budget drops;
-        # small k puts budget cuts in the steps that reach the peak
+        # small k puts budget cuts in the steps that reach the peak.  Every key is
+        # the node's exact int total at node[0], in float mode too
         ops = []
 
         class Spy(enumerators.BoundedPool):
             __slots__ = ()
 
             def insert(self, item, key):
+                assert type(key) is int and key == item[0]
                 super().insert(item, key)
                 ops[0] += 1
                 ops[1] = max(ops[1], len(self))
@@ -180,7 +183,7 @@ class TestCounters:
                 super().prune_to(m)
 
         monkeypatch.setattr(enumerators, "BoundedPool", Spy)
-        r = InputSet.from_values(values)
+        r = InputSet.from_values(values, mode)
         for k in (*range(1, 41), 100):
             ops[:] = [0, 0, 0, 0]
             stream, m = topk(r, k, variant)

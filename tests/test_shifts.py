@@ -210,17 +210,17 @@ class TestBitRules:
 
     @staticmethod
     def node(pattern: str, r: InputSet) -> tuple:
-        """A bit-vector node: compact fields, a blank delta, then the pattern."""
+        """A bit-vector node: its total, a blank delta, the compact fields, then the pattern."""
         bits = bytes(int(c) for c in pattern)
         total = sum(r.values[i] for i, b in enumerate(bits) if b)
-        return _cursors(positions_from_bits(bits)) + (sum(bits), total, None, None, None, bits)
+        return (total, None, None, None) + _cursors(positions_from_bits(bits)) + (sum(bits), bits)
 
     @staticmethod
     def edge(node: tuple, child: tuple) -> str:
         """The move a child's delta records, named as in the DOT export."""
-        if child[7] is None:
+        if child[2] is None:
             return "Incr"
-        return "Type1" if child[7] == node[0] else "Type2"
+        return "Type1" if child[2] == node[4] else "Type2"
 
     def child(self, pattern: str, edge: str) -> "tuple | None":
         node = self.node(pattern, self.R4)
@@ -230,13 +230,13 @@ class TestBitRules:
 
     def test_root(self):
         root = bit_root(self.R4)
-        assert root == (0, 1, 1, 0, 1, 1, None, None, 1, b"\x01\x00\x00\x00")
+        assert root == (1, None, None, 1, 0, 1, 1, 0, 1, b"\x01\x00\x00\x00")
 
     def test_type1_moves_first_one_after_gap(self):
         child = self.child("1010", "Type1")
         assert child[9] == b"\x01\x00\x00\x01"
-        assert child[:3] == (4, 1, 4)
-        assert child[5] == 5
+        assert child[4:7] == (4, 1, 4)
+        assert child[0] == 5
 
     def test_type1_blocked_by_neighbour_or_edge(self):
         assert self.child("0110", "Type1") is None
@@ -246,8 +246,8 @@ class TestBitRules:
     def test_type2_shrinks_leading_run(self):
         child = self.child("1100", "Type2")
         assert child[9] == b"\x01\x00\x01\x00"
-        assert child[:3] == (3, 1, 3)
-        assert child[5] == 4
+        assert child[4:7] == (3, 1, 3)
+        assert child[0] == 4
 
     def test_type2_needs_leading_run_with_room(self):
         assert self.child("0110", "Type2") is None
@@ -256,8 +256,8 @@ class TestBitRules:
     def test_growth_fills_position_one(self):
         child = self.child("0110", "Incr")
         assert child[9] == b"\x01\x01\x01\x00"
-        assert child[4] == 3 and child[5] == 6
-        assert child[:3] == (0, 3, 3)
+        assert child[8] == 3 and child[0] == 6
+        assert child[4:7] == (0, 3, 3)
 
     def test_growth_requires_block_pattern(self):
         assert self.child("1100", "Incr") is None
@@ -273,20 +273,20 @@ class TestBitRules:
         assert len(children) <= 2
         for child in children:
             decoded = positions_from_bits(child[9])
-            assert child[:4] == _cursors(decoded)
-            assert child[4] == len(decoded)
-            assert child[5] == sum(r.values[p - 1] for p in decoded)
-            assert child[5] >= node[5]
-            assert child[6] == 7
+            assert child[4:8] == _cursors(decoded)
+            assert child[8] == len(decoded)
+            assert child[0] == sum(r.values[p - 1] for p in decoded)
+            assert child[0] >= node[0]
+            assert child[1] == 7
             grew = self.edge(node, child) == "Incr"
-            assert child[4] == node[4] + (1 if grew else 0)
+            assert child[8] == node[8] + (1 if grew else 0)
 
 
 class TestCompactForm:
     def test_root(self):
         r = InputSet.from_values((2, 5, 9))
-        # cursors 0, 1, 1, 0; size 1; total 2; no parent, adds position 1
-        assert compact_root(r) == (0, 1, 1, 0, 1, 2, None, None, 1)
+        # total 2; no parent, adds position 1; cursors 0, 1, 1, 0; size 1
+        assert compact_root(r) == (2, None, None, 1, 0, 1, 1, 0, 1)
 
     def test_blocked_move_detected_without_bits(self):
         # pattern 0110: the candidate landing slot is occupied, which the
@@ -295,7 +295,7 @@ class TestCompactForm:
 
         def follow(node, rank, removed):
             return next(
-                c for c in compact_children(node, r, rank) if c[7] == removed
+                c for c in compact_children(node, r, rank) if c[2] == removed
             )
 
         # root 1000 -T2-> 0100 -Incr-> 1100 -T2-> 1010 -T2-> 0110; a move
@@ -305,9 +305,9 @@ class TestCompactForm:
         node = follow(node, 2, None)
         node = follow(node, 3, 2)
         node = follow(node, 4, 1)
-        assert (node[0], node[3]) == (2, 3)  # first_after_gap, second_after_gap
+        assert (node[4], node[7]) == (2, 3)  # first_after_gap, second_after_gap
 
-        deltas = [c[7:9] for c in compact_children(node, r, 5)]
+        deltas = [c[2:4] for c in compact_children(node, r, 5)]
         assert deltas == [(None, 1)]  # growth only
 
     def test_every_node_is_a_plain_tuple(self):
@@ -332,7 +332,7 @@ def test_final_dag_report_checks_compact_deltas(monkeypatch):
     def skewed(node, r, parent_rank):
         # moves claim to remove the landing slot instead of the one they leave
         return [
-            c if c[7] is None else c[:7] + (c[8], c[8])
+            c if c[2] is None else c[:2] + (c[3], c[3]) + c[4:]
             for c in real(node, r, parent_rank)
         ]
 
@@ -347,13 +347,13 @@ def test_final_dag_report_checks_dropped_children(monkeypatch):
 
     def no_type2(node, r, parent_rank):
         # Type2 removes the parent's prefix_end, never its first_after_gap
-        return [c for c in real(node, r, parent_rank) if c[7] in (None, node[0])]
+        return [c for c in real(node, r, parent_rank) if c[2] in (None, node[4])]
 
     monkeypatch.setattr(shifts, "compact_children", no_type2)
     assert final_dag_report(4) == ["1000: children [] != position rule [((2,), 'Type2')]"]
 
 
-@pytest.mark.parametrize("field", [0, 3])
+@pytest.mark.parametrize("field", [4, 7])
 def test_final_dag_report_checks_cursors(monkeypatch, field):
     real = shifts.compact_children
 
@@ -362,8 +362,8 @@ def test_final_dag_report_checks_cursors(monkeypatch, field):
 
     monkeypatch.setattr(shifts, "compact_children", skewed)
     # the root's Type2 child 0100 is the first node the rule builds
-    want = (2, 0, 2, 0)
-    got = want[:field] + (want[field] + 1,) + want[field + 1:]
+    want, i = (2, 0, 2, 0), field - 4
+    got = want[:i] + (want[i] + 1,) + want[i + 1:]
     assert final_dag_report(4)[0] == f"0100: cursors {got} != recomputed {want}"
 
 
@@ -371,7 +371,7 @@ def test_final_dag_report_checks_child_totals(monkeypatch):
     real = shifts.compact_children
 
     def heavy(node, r, parent_rank):
-        return [c[:5] + (c[5] + 1,) + c[6:] for c in real(node, r, parent_rank)]
+        return [(c[0] + 1,) + c[1:] for c in real(node, r, parent_rank)]
 
     monkeypatch.setattr(shifts, "compact_children", heavy)
     assert final_dag_report(4)[0] == "0100: stored total diverges from direct sum"
